@@ -10,8 +10,3 @@ let time f =
   let t0 = now_ns () in
   let r = f () in
   (r, since_s t0)
-
-(* Nearest-rank median of [reps] timings of [f], in seconds. *)
-let median_s ~reps f =
-  Homunculus_serve.Report.percentile 50.
-    (Array.init reps (fun _ -> snd (time f)))

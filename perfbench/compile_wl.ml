@@ -180,7 +180,7 @@ let optimizer_layers ~seed ~options platform spec p (r : Compiler.model_result) 
         Bo.Surrogate.fit (Rng.create seed) ~n_trees:settings.Bo.Optimizer.surrogate_trees
           ~pool:(Par.default ()) ~x ~y ())
   in
-  let fit_s = Clock.median_s ~reps:5 (fun () -> ignore (fit ())) in
+  let fit_s = Harness.median_s ~reps:5 (fun () -> ignore (fit ())) in
   let surrogate = fit () in
   let input_dim = Dataset.n_features (Model_spec.load spec).Model_spec.train in
   let space = Space_builder.build platform p.algorithm ~input_dim in
@@ -199,7 +199,7 @@ let optimizer_layers ~seed ~options platform spec p (r : Compiler.model_result) 
               (Sys.opaque_identity (Bo.Acquisition.expected_improvement ~mean ~std ~best)))
           pool)
   in
-  let score_s = Clock.median_s ~reps:5 score in
+  let score_s = Harness.median_s ~reps:5 score in
   Out.set ~n:5 "surrogate.fit_ms" (1e3 *. fit_s);
   Out.set ~n:(5 * Array.length pool) "acquisition.score_us"
     (1e6 *. score_s /. float_of_int (Array.length pool))
@@ -208,11 +208,11 @@ let backend_layers platform (r : Compiler.model_result) =
   let ir = r.Compiler.artifact.Evaluator.model_ir in
   let code = ref "" in
   let emit_s =
-    Clock.median_s ~reps:5 (fun () ->
+    Harness.median_s ~reps:5 (fun () ->
         code := Span.with_ sp_emit (fun () -> Compiler.emit_code platform ir))
   in
   let estimate_s =
-    Clock.median_s ~reps:50 (fun () ->
+    Harness.median_s ~reps:50 (fun () ->
         ignore (Span.with_ sp_estimate (fun () -> Platform.estimate platform ir)))
   in
   Out.set ~n:5 "codegen.emit_ms" (1e3 *. emit_s);

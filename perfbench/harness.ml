@@ -14,6 +14,9 @@ let batch_size = 2
 (* Nearest-rank, like every percentile the benchmark reports. *)
 let median xs = Report.percentile 50. (Array.of_list xs)
 
+(* Median of [reps] timings of [f], in seconds. *)
+let median_s ~reps f = median (List.init reps (fun _ -> snd (Clock.time f)))
+
 (* Run [f 0], [f 1], ... until starting another pass would overrun
    [seconds] (judged by the last pass's duration, with room left for
    [reserve] more passes after the loop), but at least [min] times. [f]

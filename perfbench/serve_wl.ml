@@ -230,7 +230,7 @@ let layer_replays kind ~engine ~updater =
           i := !i + k
         done)
   in
-  Out.set ~n:(3 * n) "runtime.classify_ns_per_pkt" (per_pkt (Clock.median_s ~reps:3 classify));
+  Out.set ~n:(3 * n) "runtime.classify_ns_per_pkt" (per_pkt (Harness.median_s ~reps:3 classify));
   let calibration = Option.map (fun u -> Updater.calibration_sample u ~n:256) updater in
   let model = Engine.model engine in
   let load () =
@@ -239,7 +239,7 @@ let layer_replays kind ~engine ~updater =
            Runtime.load ~entries_per_feature:Engine.default_config.Engine.entries_per_feature
              ?calibration model))
   in
-  Out.set ~n:5 "runtime.load_ms" (1e3 *. Clock.median_s ~reps:5 load);
+  Out.set ~n:5 "runtime.load_ms" (1e3 *. Harness.median_s ~reps:5 load);
   Out.seti "runtime.misses" (Runtime.miss_count rt);
   let observe () =
     let m = Monitor.create ~config:(monitor_config kind) ~n_classes:2 () in
@@ -252,7 +252,7 @@ let layer_replays kind ~engine ~updater =
             ignore (Monitor.advance m ~now:tr.Engine.completions.(i))
         done)
   in
-  Out.set ~n:(3 * n) "monitor.ns_per_pkt" (per_pkt (Clock.median_s ~reps:3 observe));
+  Out.set ~n:(3 * n) "monitor.ns_per_pkt" (per_pkt (Harness.median_s ~reps:3 observe));
   if Option.is_some updater then begin
     let record () =
       let u =
@@ -264,7 +264,7 @@ let layer_replays kind ~engine ~updater =
             Updater.record u ~features:tr.Engine.xs.(i) ~label:tr.Engine.truths.(i)
           done)
     in
-    Out.set ~n:(3 * n) "updater.record_ns" (per_pkt (Clock.median_s ~reps:3 record))
+    Out.set ~n:(3 * n) "updater.record_ns" (per_pkt (Harness.median_s ~reps:3 record))
   end;
   n
 
