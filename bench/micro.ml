@@ -116,6 +116,28 @@ let bench_kmeans_fit =
     (Staged.stage (fun () ->
          ignore (Ml.Kmeans.fit (Rng.copy rng) ~k:5 ~n_init:1 ~max_iter:20 x)))
 
+(* CART split search, the kernel under tree search: every TC candidate is
+   one classifier fit at the compile_tree data size, and every BO refit is
+   one 30-tree regression forest. The forest runs on one domain so the
+   figure is the kernel's own cost. *)
+let bench_tree_classifier_fit =
+  let d = Homunculus_netdata.Iot.generate (Rng.create 7) ~n:600 () in
+  let params = { Ml.Decision_tree.default_params with Ml.Decision_tree.max_depth = 10 } in
+  Test.make ~name:"ml/tree-classifier-fit-600x7-d10"
+    (Staged.stage (fun () ->
+         ignore
+           (Ml.Decision_tree.Classifier.fit ~params ~x:d.Ml.Dataset.x ~y:d.Ml.Dataset.y
+              ~n_classes:d.Ml.Dataset.n_classes ())))
+
+let bench_forest_regressor_fit =
+  let rng = Rng.create 5 in
+  let x = Array.init 300 (fun _ -> [| Rng.float rng 1.; Rng.float rng 1. |]) in
+  let y = Array.map (fun row -> sin (6. *. row.(0)) +. row.(1)) x in
+  let pool = Homunculus_par.Par.create ~jobs:1 () in
+  Test.make ~name:"ml/forest-regressor-fit-30x300x2"
+    (Staged.stage (fun () ->
+         ignore (Ml.Random_forest.Regressor.fit (Rng.copy rng) ~n_trees:30 ~pool ~x ~y ())))
+
 (* Backend generators. *)
 let bench_spatial_codegen =
   Test.make ~name:"codegen/spatial-dnn"
@@ -129,7 +151,8 @@ let tests =
   [
     bench_train_step; bench_schedule_combine; bench_fusion_overlap;
     bench_fpga_estimate; bench_bo_iteration; bench_flowmarker;
-    bench_kmeans_fit; bench_spatial_codegen; bench_p4_codegen;
+    bench_kmeans_fit; bench_tree_classifier_fit; bench_forest_regressor_fit;
+    bench_spatial_codegen; bench_p4_codegen;
   ]
 
 let benchmark () =

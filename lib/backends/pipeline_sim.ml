@@ -74,7 +74,7 @@ let simulate config ~arrivals_ns =
     packets_delivered = !delivered;
     packets_dropped = !dropped;
     mean_latency_ns = (if !delivered = 0 then 0. else Stats.mean lat);
-    p99_latency_ns = (if !delivered = 0 then 0. else Stats.percentile lat 99.);
+    p99_latency_ns = (if !delivered = 0 then 0. else Stats.nearest_rank lat 99.);
     max_queue_depth = !max_depth;
     achieved_gpps =
       (if busy_ns <= 0. then 0. else float_of_int !delivered /. busy_ns);

@@ -3,7 +3,26 @@
 
     Trees serve two roles: (1) an algorithm IIsy can map onto match-action
     tables (one table per tree level), and (2) the base learner of the random
-    forests used as the Bayesian-optimization surrogate. *)
+    forests used as the Bayesian-optimization surrogate.
+
+    {b Split search and its bit-identity contract.} At each node, every
+    candidate feature is swept in ascending value order ([Float.compare]:
+    [nan] first, [-0. = 0.]) and every boundary between two distinct values
+    is scored. The first strictly lowest score wins, in candidate-feature
+    order and then in value order. Its threshold is the midpoint of the two
+    values. A search history records every tree a search trains, so the
+    tree for given inputs is fixed down to the bit:
+    - {b Classifier.} Scores come from exact integer class counts, so the
+      order among tied values is free. Each column is sorted once per tree,
+      and nodes partition the sorted orders.
+    - {b Regressor.} The sweep sums targets in sorted order, so the order
+      among tied values decides the rounding. Every node sorts its (value,
+      target) pairs with the ternary heap sort of OCaml 5.1's [Array.sort],
+      comparing values only, and sums in the order it produces. Changing
+      that sort (presorting, a stable sort) changes trees.
+    - {b Right child first.} A split builds its right subtree before its
+      left one. With [m_try], the subtrees draw candidate features from
+      [rng] in that order. *)
 
 type node =
   | Leaf of { distribution : float array }

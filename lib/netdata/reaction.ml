@@ -96,7 +96,7 @@ let summarize reactions =
       detection_rate = float_of_int n_detected /. float_of_int n_flows;
       mean_packets = Stats.mean packets;
       median_seconds = Stats.median seconds;
-      p95_seconds = Stats.percentile seconds 95.;
+      p95_seconds = Stats.nearest_rank seconds 95.;
     }
 
 let pp_summary fmt s =

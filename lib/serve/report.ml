@@ -3,26 +3,9 @@ module Json = Homunculus_util.Json
 let num v : Json.t = if Float.is_nan v then Json.Null else Json.Number v
 let int i : Json.t = Json.Number (float_of_int i)
 
-(* Nearest-rank percentile (the SLO convention): the reported p99 is a
-   latency some packet actually experienced, never a value interpolated
-   between two samples. rank = ceil(p/100 * n) on the ascending-sorted
-   sample, 1-based; p = 0 degenerates to the minimum. Deliberately NOT
-   [Stats.percentile], which linearly interpolates between order
-   statistics — on a 1000-sample vector the interpolated p999 blends the
-   two largest observations into a latency nobody saw. *)
-let percentile p xs =
-  let n = Array.length xs in
-  if n = 0 then invalid_arg "Report.percentile: empty sample";
-  if Float.is_nan p || p < 0. || p > 100. then
-    invalid_arg "Report.percentile: p outside [0, 100]";
-  let sorted = Array.copy xs in
-  Array.sort compare sorted;
-  (* p/100*n is inexact in binary (99.9/100*1000 = 999.0000000000001);
-     without the relative epsilon, ceil would bump exact ranks up one and
-     report p999 as the maximum on a 1000-sample vector. *)
-  let r = p /. 100. *. float_of_int n in
-  let rank = int_of_float (Float.ceil (r -. (1e-9 *. Float.max 1. r))) in
-  sorted.(Stdlib.max 0 (rank - 1))
+(* The SLO convention: the reported p99 is a latency some packet actually
+   experienced, never a value interpolated between two samples. *)
+let percentile p xs = Homunculus_util.Stats.nearest_rank xs p
 
 let latency_to_json latencies =
   let n = Array.length latencies in

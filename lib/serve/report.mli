@@ -3,11 +3,9 @@
     external dependencies, like the rest of the system's interchange). *)
 
 val percentile : float -> float array -> float
-(** [percentile p xs] — nearest-rank percentile (the SLO convention):
-    sort ascending, take element [ceil (p/100 * n)] (1-based; [p = 0]
-    gives the minimum, [p = 100] the maximum). Always returns a value some
-    sample actually took, never an interpolation between two samples —
-    unlike {!Homunculus_util.Stats.percentile}. The input is not modified.
+(** [percentile p xs] is [Homunculus_util.Stats.nearest_rank xs p]: the
+    nearest-rank percentile (the SLO convention), always a value some
+    sample actually took. The input is not modified.
     @raise Invalid_argument on an empty sample or [p] outside [0, 100]. *)
 
 val latency_to_json : float array -> Homunculus_util.Json.t

@@ -43,6 +43,21 @@ let percentile xs p =
 
 let median xs = percentile xs 50.
 
+(* rank = ceil(p/100 * n) on the ascending sample, 1-based; p = 0
+   degenerates to the minimum. *)
+let nearest_rank xs p =
+  check_nonempty "Stats.nearest_rank" xs;
+  if Float.is_nan p || p < 0. || p > 100. then
+    invalid_arg "Stats.nearest_rank: p outside [0,100]";
+  let s = sorted_copy xs in
+  let n = Array.length s in
+  (* p/100*n is inexact in binary (99.9/100*1000 = 999.0000000000001);
+     without the relative epsilon, ceil would bump exact ranks up one and
+     report p999 as the maximum on a 1000-sample vector. *)
+  let r = p /. 100. *. float_of_int n in
+  let rank = int_of_float (Float.ceil (r -. (1e-9 *. Float.max 1. r))) in
+  s.(Stdlib.max 0 (rank - 1))
+
 let argmax xs =
   check_nonempty "Stats.argmax" xs;
   let best = ref 0 in

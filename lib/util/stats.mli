@@ -21,6 +21,13 @@ val percentile : float array -> float -> float
 (** [percentile xs p] for [p] in [0, 100], linear interpolation between order
     statistics. Does not mutate its argument. *)
 
+val nearest_rank : float array -> float -> float
+(** [nearest_rank xs p] for [p] in [0, 100]: the element of rank
+    [ceil (p/100 * n)] (1-based) of the ascending sample; [p = 0] gives the
+    minimum, [p = 100] the maximum. Always a value of [xs], never an
+    interpolation between two of them, so a latency percentile is one some
+    packet actually saw. Does not mutate its argument. *)
+
 val argmax : float array -> int
 val argmin : float array -> int
 

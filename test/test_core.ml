@@ -440,6 +440,63 @@ let test_report_regret_series_monotone () =
   done;
   Alcotest.(check bool) "monotone" true !ok
 
+(* Golden search pins. Every other determinism test compares two runs of
+   one build, so none of them notices when every run changes the same way.
+   These digests were recorded with the boxed-pair split search that
+   preceded the columnar one; a search whose candidate trees, random-forest
+   surrogate or feasibility model visit tied values in another order, or
+   round a sum differently, records another history. The tree search trains
+   CART candidates and moves when the classifier breaks a score tie
+   differently; the DNN search reaches trees only through the forests, and
+   moves when the regressor sums tied targets in another order. *)
+let history_digest history =
+  Bo.History.entries history
+  |> List.map (fun (e : Bo.History.entry) ->
+         Printf.sprintf "%s|%h|%b|%b"
+           (Bo.Config.to_string e.Bo.History.config)
+           e.Bo.History.objective e.Bo.History.feasible e.Bo.History.pruned)
+  |> String.concat "\n" |> Digest.string |> Digest.to_hex
+
+let pinned_search ~name ~algorithm ~data ~n_init ~budget platform =
+  let spec =
+    Model_spec.make ~name ~metric:Model_spec.F1 ~algorithms:[ algorithm ]
+      ~loader:(fun () ->
+        let train, test = data () in
+        Model_spec.data ~train ~test)
+      ()
+  in
+  let options =
+    {
+      Compiler.default_options with
+      Compiler.seed = 2023;
+      bo_settings =
+        {
+          Bo.Optimizer.default_settings with
+          Bo.Optimizer.n_init;
+          n_iter = budget - n_init;
+          batch_size = 2;
+        };
+      emit_code = false;
+    }
+  in
+  history_digest (Compiler.search_model ~options platform spec).Compiler.history
+
+let test_golden_tree_search () =
+  Alcotest.(check string) "history digest" "43b731508f38e42c68c14bd486e05655"
+    (pinned_search ~name:"traffic_classification" ~algorithm:Model_spec.Tree
+       ~data:(fun () ->
+         ( Homunculus_netdata.Iot.generate (Rng.create 7) ~n:300 (),
+           Homunculus_netdata.Iot.generate (Rng.create 8) ~n:150 () ))
+       ~n_init:10 ~budget:40 (Platform.tofino ()))
+
+let test_golden_dnn_search () =
+  Alcotest.(check string) "history digest" "f77f495102b3af39ee52a0157a72a15a"
+    (pinned_search ~name:"anomaly_detection" ~algorithm:Model_spec.Dnn
+       ~data:(fun () ->
+         Homunculus_netdata.Nslkdd.generate_split (Rng.create 7) ~n_train:300
+           ~n_test:150 ())
+       ~n_init:4 ~budget:16 (Platform.taurus ()))
+
 let suite =
   [
     Alcotest.test_case "metric compatibility" `Quick test_metric_compatibility;
@@ -473,4 +530,6 @@ let suite =
       test_evaluator_deterministic_per_config;
     Alcotest.test_case "report rendering" `Quick test_report_rendering;
     Alcotest.test_case "report regret monotone" `Quick test_report_regret_series_monotone;
+    Alcotest.test_case "golden tree search" `Quick test_golden_tree_search;
+    Alcotest.test_case "golden dnn search" `Quick test_golden_dnn_search;
   ]

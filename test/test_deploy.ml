@@ -260,6 +260,19 @@ let test_detection_curve_improves () =
         (late.Reaction.n_flows <= early.Reaction.n_flows)
   | _ -> Alcotest.fail "expected three points")
 
+(* Nearest-rank p95 over verdict times 1 .. 20 s is the 19th, 19 s; an
+   interpolated p95 (19.05 s) is a time no flow took. *)
+let test_reaction_p95_is_a_sample () =
+  let reactions =
+    List.init 20 (fun i ->
+        {
+          Reaction.flow_id = i;
+          packets_to_verdict = Some 2;
+          seconds_to_verdict = Some (float_of_int (20 - i));
+        })
+  in
+  Alcotest.(check (float 0.)) "p95" 19. (Reaction.summarize reactions).Reaction.p95_seconds
+
 let test_reaction_times_and_summary () =
   let rng = Rng.create 20 in
   let flows = Flowsim.generate rng () in
@@ -359,6 +372,7 @@ let suite =
     Alcotest.test_case "ir_io rejects garbage" `Quick test_ir_io_rejects_garbage;
     Alcotest.test_case "reaction curve" `Quick test_detection_curve_improves;
     Alcotest.test_case "reaction times" `Quick test_reaction_times_and_summary;
+    Alcotest.test_case "reaction p95 is a sample" `Quick test_reaction_p95_is_a_sample;
     Alcotest.test_case "reaction debounce" `Quick test_reaction_confirm_debounces;
     Alcotest.test_case "hyperband budget" `Quick test_hyperband_budget_accounting;
     Alcotest.test_case "hyperband optimizes" `Quick test_hyperband_finds_good_point;

@@ -172,6 +172,14 @@ let test_sim_poisson_p99_above_mean () =
   Alcotest.(check bool) "mean above bare depth" true
     (s.Pipeline_sim.mean_latency_ns >= 40.)
 
+(* Nearest-rank p99: 99 packets see the bare depth (40 ns) and one queues
+   behind its twin for one II (42 ns). The reported p99 must be a latency
+   a packet saw; interpolating between order statistics gives 40.02. *)
+let test_sim_p99_is_a_sample () =
+  let arrivals = Array.init 100 (fun i -> 1000. *. float_of_int (Stdlib.min i 98)) in
+  let s = Pipeline_sim.simulate (config ~ii:2) ~arrivals_ns:arrivals in
+  Alcotest.(check (float 0.)) "p99 is the bare depth" 40. s.Pipeline_sim.p99_latency_ns
+
 let test_sim_rejects_unsorted () =
   Alcotest.check_raises "unsorted"
     (Invalid_argument "Pipeline_sim.simulate: arrivals must be ascending")
@@ -218,6 +226,7 @@ let suite =
     Alcotest.test_case "sim overload II=2" `Quick test_sim_overload_at_ii2;
     Alcotest.test_case "sim underload II=2" `Quick test_sim_underload_at_ii2;
     Alcotest.test_case "sim poisson p99" `Quick test_sim_poisson_p99_above_mean;
+    Alcotest.test_case "sim p99 is a sample" `Quick test_sim_p99_is_a_sample;
     Alcotest.test_case "sim rejects unsorted" `Quick test_sim_rejects_unsorted;
     Alcotest.test_case "sim config of mapping" `Quick test_sim_config_of_mapping;
   ]

@@ -45,6 +45,7 @@ let suites =
     ("serve_quantized", Test_serve_quantized.suite);
     ("loadgen", Test_loadgen.suite);
     ("policy", Test_policy.suite);
+    ("tree_oracle", Test_tree_oracle.suite);
     ("stage_alloc_properties", Test_stage_alloc_properties.suite);
     ("placement_properties", Test_placement_properties.suite);
   ]
