@@ -18,8 +18,8 @@
    from Evaluator.Timing, so the JSON records where the saved time lived.
 
    Section 3 (refit cadence): surrogate refit batching (refit_every /
-   refit_threshold) A/B on the synthetic loop, counting actual fits via
-   [on_refit] and asserting the history stays bit-identical.
+   refit_threshold) A/B on the synthetic loop, counting actual fits with
+   [Optimizer.refits] and asserting the history stays bit-identical.
 
    Section 4 (differential validation): Check.Costmodel_eval re-evaluates
    every skipped candidate exactly and counts feasible-winner vetoes — the
@@ -288,19 +288,26 @@ let run_cost_model_section () =
 
 let run_refit_arm ~budget ~jobs ~refit_every ~refit_threshold =
   let sp = space () in
-  let refits = ref 0 in
   let pool = Par.create ~jobs () in
   let base = settings ~budget ~jobs:1 in
   let t0 = Unix.gettimeofday () in
-  let history =
-    Bo.Optimizer.maximize (Rng.create Bench_config.seed)
+  let opt =
+    Bo.Optimizer.create (Rng.create Bench_config.seed)
       ~settings:{ base with Bo.Optimizer.refit_every; refit_threshold }
-      ~pool ~on_refit:(fun _ -> incr refits)
-      sp ~f:(eval sp)
+      ~pool sp
   in
+  let rec loop () =
+    match Bo.Optimizer.propose opt with
+    | [||] -> ()
+    | batch ->
+        Bo.Optimizer.tell opt
+          (Par.parallel_map ~pool ~chunk:1 (fun (_, c) -> eval sp c) batch);
+        loop ()
+  in
+  loop ();
   let dt = Unix.gettimeofday () -. t0 in
   Par.shutdown pool;
-  (dt, !refits, fingerprint history)
+  (dt, Bo.Optimizer.refits opt, fingerprint (Bo.Optimizer.history opt))
 
 let run_refit_section ~budget =
   Bench_config.section "DSE surrogate refit cadence: every round vs every 4";

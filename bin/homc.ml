@@ -402,8 +402,9 @@ let search app target seed budget jobs coordinator workers lease_ttl
             worker_id n;
           10)
   | false, Some dir ->
-      (* Coordinator mode: lease batches to the fleet through the optimizer's
-         dispatch hook. [local_eval] is the all-workers-dead fallback. *)
+      (* Coordinator mode: the compile driver leases each batch to the fleet
+         through [Compiler.options.dispatch]. [local_eval] is the
+         all-workers-dead fallback. *)
       let coord =
         Dist.Coordinator.create ~dir ~ttl_s:lease_ttl ~local_eval:lease_eval ()
       in

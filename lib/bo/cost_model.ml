@@ -222,8 +222,7 @@ let stats t =
 
 let skipped_configs t = List.rev t.skipped_configs
 
-let prefilter t =
- fun ~index:(_ : int) config ->
+let prefilter t config =
   match classify t config with
   | Exact_required _ -> None
   | Predicted_infeasible { p_feasible; predicted_objective } ->

@@ -97,12 +97,14 @@ val predicted_evaluation :
 (** The history entry a skipped candidate commits: infeasible, non-pruned,
     tagged with {!predicted_key} / {!prob_key} metadata. *)
 
-val prefilter :
-  t -> index:int -> Config.t -> Optimizer.evaluation option
-(** {!classify} packaged for {!Optimizer.maximize_indexed}'s [?prefilter]
-    hook: [Some predicted_evaluation] on a skip, [None] otherwise. Callers
-    that journal evaluations should wrap this to bypass the filter for
-    replayed records and to journal the predicted commits. *)
+val prefilter : t -> Config.t -> Optimizer.evaluation option
+(** {!classify} as a search driver consumes it: [Some predicted_evaluation]
+    on a skip — commit it in the candidate's slot instead of evaluating —
+    and [None] when the candidate must be evaluated exactly. A driver judges
+    each {!Optimizer.propose}d batch in proposal order before dispatching
+    the survivors, so decisions depend on the batch boundary but never on
+    worker scheduling. Callers that journal evaluations bypass the filter
+    for replayed records and journal the predicted commits. *)
 
 val predicted_key : string
 (** Metadata tag ([= 1.]) marking predicted-infeasible history entries. *)

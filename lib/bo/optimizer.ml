@@ -44,20 +44,16 @@ type evaluation = {
   metadata : (string * float) list;
 }
 
-let record history space config { objective; feasible; pruned; metadata }
-    ~on_iteration =
+let record history space config { objective; feasible; pruned; metadata } =
   History.add history ~config
     ~encoded:(Design_space.encode space config)
-    ~objective ~feasible ~pruned ~metadata ();
-  match (on_iteration, History.last history) with
-  | Some callback, Some latest -> callback (History.length history) latest
-  | (None, _ | _, None) -> ()
+    ~objective ~feasible ~pruned ~metadata ()
 
 let random_search rng ~n space ~f =
   let history = History.create () in
   for _ = 1 to n do
     let config = Design_space.sample rng space in
-    record history space config (f config) ~on_iteration:None
+    record history space config (f config)
   done;
   history
 
@@ -76,222 +72,194 @@ let fresh_candidate rng space history ~pending =
   in
   go 8
 
-(* Evaluate a batch of proposals concurrently, then commit the results to the
-   history in proposal order. The black box runs on pool workers, so all the
-   ordering the caller can observe (History contents, [on_iteration]
-   callbacks) is fixed by the proposal order, not by scheduling. Each
-   candidate's index is its eventual position in the history (commits happen
-   per batch, so the base is the history length at dispatch time), giving
-   the black box a schedule-independent identity for the proposal. *)
-(* The pre-filter (when present) judges each proposal sequentially on the
-   caller's domain, before the batch is dispatched — so its decisions depend
-   only on proposal order, never on worker scheduling. Skipped candidates
-   commit the filter's predicted evaluation in proposal order alongside the
-   exact results. *)
-(* [dispatch], when present, replaces the in-process pool for the exact
-   evaluations: the surviving (index, config) pairs are handed over en bloc
-   and the dispatcher returns their evaluations in the same order. The
-   distributed coordinator plugs in here — proposals become leases to worker
-   processes — and because proposals, pre-filter decisions, and commits all
-   stay on the calling domain in proposal order, the history is identical
-   whether the batch ran inline, on a pool, or on a fleet. *)
-let evaluate_batch ~par ?prefilter ?dispatch history space ~f ~on_iteration
-    batch =
-  let base = History.length history in
-  let decisions =
-    match prefilter with
-    | None -> Array.map (fun _ -> None) batch
-    | Some judge -> Array.mapi (fun i config -> judge ~index:(base + i) config) batch
-  in
-  let work = ref [] in
-  Array.iteri
-    (fun i config ->
-      if Option.is_none decisions.(i) then work := (base + i, config) :: !work)
-    batch;
-  let work = Array.of_list (List.rev !work) in
-  let evals =
-    match dispatch with
-    | None ->
-        Par.parallel_map ~pool:par ~chunk:1
-          (fun (index, config) -> f ~index config)
-          work
-    | Some send ->
-        let evals = send work in
-        if Array.length evals <> Array.length work then
-          invalid_arg "Bo.Optimizer: dispatch returned wrong arity";
-        evals
-  in
-  let next = ref 0 in
-  Array.iteri
-    (fun i config ->
-      let eval =
-        match decisions.(i) with
-        | Some predicted -> predicted
-        | None ->
-            let e = evals.(!next) in
-            incr next;
-            e
-      in
-      record history space config eval ~on_iteration)
-    batch
+type t = {
+  rng : Rng.t;
+  settings : settings;
+  par : Par.pool;
+  space : Design_space.t;
+  history : History.t;
+  mutable fitted : (Surrogate.t * Feasibility.t * int) option;
+  mutable refits : int;
+  mutable pending : Config.t array option;  (* proposed, not yet told *)
+}
 
-let maximize_indexed rng ?(settings = default_settings) ?pool ?on_iteration
-    ?on_batch_start ?prefilter ?on_refit ?dispatch space ~f =
-  if settings.n_init <= 0 then invalid_arg "Bo.Optimizer.maximize: n_init <= 0";
+let create rng ?(settings = default_settings) ?pool space =
+  if settings.n_init <= 0 then invalid_arg "Bo.Optimizer.create: n_init <= 0";
   if settings.batch_size <= 0 then
-    invalid_arg "Bo.Optimizer.maximize: batch_size <= 0";
+    invalid_arg "Bo.Optimizer.create: batch_size <= 0";
   if settings.refit_every <= 0 then
-    invalid_arg "Bo.Optimizer.maximize: refit_every <= 0";
-  let par = match pool with Some p -> p | None -> Par.default () in
-  let history = History.create () in
-  let batch_start () =
-    match on_batch_start with Some hook -> hook () | None -> ()
-  in
-  (* Phase 1: uniform random initialization, evaluated [batch_size] at a
-     time. Proposals are drawn sequentially from [rng] (so the stream is
-     independent of the worker count); only the evaluations overlap. *)
-  let remaining = ref settings.n_init in
-  while !remaining > 0 do
-    let k = Stdlib.min settings.batch_size !remaining in
-    let pending = ref [] in
-    let batch =
-      Array.init k (fun _ ->
-          let c = fresh_candidate rng space history ~pending:!pending in
-          pending := c :: !pending;
-          c)
-    in
-    batch_start ();
-    evaluate_batch ~par ?prefilter ?dispatch history space ~f ~on_iteration
-      batch;
-    remaining := !remaining - k
-  done;
-  (* Phase 2: surrogate-guided rounds. Each round proposes up to
-     [batch_size] candidates from one surrogate (constant-liar batching), so
-     a batched run spends the same evaluation budget over [n_iter /
-     batch_size] refits — and once the history outgrows [refit_threshold],
-     the surrogate pair is additionally reused until [refit_every] fresh
-     evaluations have accumulated, amortizing forest fits over several
-     rounds. Reused rounds consume no RNG for fitting; determinism is per
-     (seed, settings), as always. *)
-  let fitted = ref None in
-  let remaining = ref settings.n_iter in
-  while !remaining > 0 do
-    let k = Stdlib.min settings.batch_size !remaining in
-    let len = History.length history in
-    let surrogate, feas_model =
-      match !fitted with
-      | Some (s, fm, fit_len)
-        when len > settings.refit_threshold
-             && len - fit_len < settings.refit_every ->
-          (s, fm)
-      | Some _ | None ->
-          let x, y, feasible_flags = History.training_arrays history in
-          (* The objective model learns from the feasible slice only:
-             infeasible entries carry placeholder objectives (failure tags,
-             predicted-infeasible commits) that nothing downstream consumes.
-             The feasibility model still sees every entry. *)
-          let keep = ref [] in
-          Array.iteri
-            (fun i flag -> if flag then keep := i :: !keep)
-            feasible_flags;
-          let sel = Array.of_list (List.rev !keep) in
-          let s =
-            Surrogate.fit rng ~n_trees:settings.surrogate_trees ~pool:par
-              ~x:(Array.map (fun i -> x.(i)) sel)
-              ~y:(Array.map (fun i -> y.(i)) sel)
-              ()
-          in
-          let fm =
-            Feasibility.fit rng ~n_trees:settings.surrogate_trees ~pool:par ~x
-              ~feasible:feasible_flags ()
-          in
-          (match on_refit with Some hook -> hook len | None -> ());
-          fitted := Some (s, fm, len);
-          (s, fm)
-    in
-    let incumbent = History.best history in
-    let best_value =
-      match incumbent with
-      | Some e -> e.History.objective
-      | None -> neg_infinity
-    in
-    (* Candidate pool: uniform samples plus neighbors of the incumbent,
-       drawn sequentially so the RNG stream is schedule-independent. *)
-    let n_local =
-      match incumbent with
-      | None -> 0
-      | Some _ ->
-          int_of_float
-            (settings.local_search_frac *. float_of_int settings.pool_size)
-    in
-    let candidates =
-      Array.init settings.pool_size (fun i ->
-          match incumbent with
-          | Some e when i < n_local ->
-              Design_space.neighbor rng space e.History.config
-          | Some _ | None -> Design_space.sample rng space)
-    in
-    (* Scoring is pure: fan it out over the pool. *)
-    let scores =
-      Par.parallel_map ~pool:par
-        (fun candidate ->
-          if History.mem_config history candidate then neg_infinity
-          else begin
-            let point = Design_space.encode space candidate in
-            let mean, std = Surrogate.predict surrogate point in
-            let ei =
-              Acquisition.expected_improvement ~mean ~std ~best:best_value
-            in
-            let p_feas = Feasibility.prob_feasible feas_model point in
-            if ei = infinity then p_feas (* no incumbent: chase feasibility *)
-            else ei *. p_feas
-          end)
-        candidates
-    in
-    (* Constant-liar batch proposal: pick the top-scoring candidate, then
-       pretend it was already evaluated at the incumbent's value (the
-       CL-max lie) and pick again. The lie leaves [best_value] — and hence
-       every remaining EI score — unchanged, so without refitting the
-       surrogate it reduces to selecting the k best distinct candidates;
-       its only effect is that a proposal cannot be picked twice. Ties keep
-       the lowest pool index, matching the sequential scan. *)
-    let chosen = ref [] in
-    let n_chosen = ref 0 in
-    while !n_chosen < k do
-      let best_i = ref (-1) in
-      let best_s = ref neg_infinity in
-      Array.iteri
-        (fun i s ->
-          if
-            s > !best_s
-            && not (List.exists (Config.equal candidates.(i)) !chosen)
-          then begin
-            best_i := i;
-            best_s := s
-          end)
-        scores;
-      let c =
-        if !best_i >= 0 then begin
-          scores.(!best_i) <- neg_infinity;
-          candidates.(!best_i)
-        end
-        else
-          (* Every pool candidate is a duplicate: fall back to fresh uniform
-             samples, as the sequential loop did. *)
-          fresh_candidate rng space history ~pending:!chosen
-      in
-      chosen := c :: !chosen;
-      incr n_chosen
-    done;
-    let batch = Array.of_list (List.rev !chosen) in
-    batch_start ();
-    evaluate_batch ~par ?prefilter ?dispatch history space ~f ~on_iteration
-      batch;
-    remaining := !remaining - k
-  done;
-  history
+    invalid_arg "Bo.Optimizer.create: refit_every <= 0";
+  {
+    rng;
+    settings;
+    par = (match pool with Some p -> p | None -> Par.default ());
+    space;
+    history = History.create ();
+    fitted = None;
+    refits = 0;
+    pending = None;
+  }
 
-let maximize rng ?settings ?pool ?on_iteration ?on_batch_start ?prefilter
-    ?on_refit ?dispatch space ~f =
-  maximize_indexed rng ?settings ?pool ?on_iteration ?on_batch_start ?prefilter
-    ?on_refit ?dispatch space ~f:(fun ~index:_ config -> f config)
+let history t = t.history
+let refits t = t.refits
+
+(* Phase 1: uniform random initialization, [batch_size] at a time. Proposals
+   are drawn sequentially from [rng], so the stream is independent of how
+   the batch is later evaluated. *)
+let propose_warmup t k =
+  let pending = ref [] in
+  Array.init k (fun _ ->
+      let c = fresh_candidate t.rng t.space t.history ~pending:!pending in
+      pending := c :: !pending;
+      c)
+
+(* Phase 2: one surrogate-guided round. Each round proposes up to
+   [batch_size] candidates from one surrogate (constant-liar batching), so a
+   batched run spends the same evaluation budget over [n_iter / batch_size]
+   refits — and once the history outgrows [refit_threshold], the surrogate
+   pair is additionally reused until [refit_every] fresh evaluations have
+   accumulated, amortizing forest fits over several rounds. Reused rounds
+   consume no RNG for fitting; determinism is per (seed, settings), as
+   always. *)
+let propose_guided t k =
+  let { rng; settings; par; space; history; _ } = t in
+  let len = History.length history in
+  let surrogate, feas_model =
+    match t.fitted with
+    | Some (s, fm, fit_len)
+      when len > settings.refit_threshold
+           && len - fit_len < settings.refit_every ->
+        (s, fm)
+    | Some _ | None ->
+        let x, y, feasible_flags = History.training_arrays history in
+        (* The objective model learns from the feasible slice only:
+           infeasible entries carry placeholder objectives (failure tags,
+           predicted-infeasible commits) that nothing downstream consumes.
+           The feasibility model still sees every entry. *)
+        let keep = ref [] in
+        Array.iteri
+          (fun i flag -> if flag then keep := i :: !keep)
+          feasible_flags;
+        let sel = Array.of_list (List.rev !keep) in
+        let s =
+          Surrogate.fit rng ~n_trees:settings.surrogate_trees ~pool:par
+            ~x:(Array.map (fun i -> x.(i)) sel)
+            ~y:(Array.map (fun i -> y.(i)) sel)
+            ()
+        in
+        let fm =
+          Feasibility.fit rng ~n_trees:settings.surrogate_trees ~pool:par ~x
+            ~feasible:feasible_flags ()
+        in
+        t.refits <- t.refits + 1;
+        t.fitted <- Some (s, fm, len);
+        (s, fm)
+  in
+  let incumbent = History.best history in
+  let best_value =
+    match incumbent with
+    | Some e -> e.History.objective
+    | None -> neg_infinity
+  in
+  (* Candidate pool: uniform samples plus neighbors of the incumbent, drawn
+     sequentially so the RNG stream is schedule-independent. *)
+  let n_local =
+    match incumbent with
+    | None -> 0
+    | Some _ ->
+        int_of_float
+          (settings.local_search_frac *. float_of_int settings.pool_size)
+  in
+  let candidates =
+    Array.init settings.pool_size (fun i ->
+        match incumbent with
+        | Some e when i < n_local ->
+            Design_space.neighbor rng space e.History.config
+        | Some _ | None -> Design_space.sample rng space)
+  in
+  (* Scoring is pure: fan it out over the pool. *)
+  let scores =
+    Par.parallel_map ~pool:par
+      (fun candidate ->
+        if History.mem_config history candidate then neg_infinity
+        else begin
+          let point = Design_space.encode space candidate in
+          let mean, std = Surrogate.predict surrogate point in
+          let ei =
+            Acquisition.expected_improvement ~mean ~std ~best:best_value
+          in
+          let p_feas = Feasibility.prob_feasible feas_model point in
+          if ei = infinity then p_feas (* no incumbent: chase feasibility *)
+          else ei *. p_feas
+        end)
+      candidates
+  in
+  (* Constant-liar batch proposal: pick the top-scoring candidate, then
+     pretend it was already evaluated at the incumbent's value (the CL-max
+     lie) and pick again. The lie leaves [best_value] — and hence every
+     remaining EI score — unchanged, so without refitting the surrogate it
+     reduces to selecting the k best distinct candidates; its only effect is
+     that a proposal cannot be picked twice. Ties keep the lowest pool index,
+     matching the sequential scan. *)
+  let chosen = ref [] in
+  for _ = 1 to k do
+    let best_i = ref (-1) in
+    let best_s = ref neg_infinity in
+    Array.iteri
+      (fun i s ->
+        if s > !best_s && not (List.exists (Config.equal candidates.(i)) !chosen)
+        then begin
+          best_i := i;
+          best_s := s
+        end)
+      scores;
+    let c =
+      if !best_i >= 0 then begin
+        scores.(!best_i) <- neg_infinity;
+        candidates.(!best_i)
+      end
+      else
+        (* Every pool candidate is a duplicate: fall back to fresh uniform
+           samples, as the sequential loop did. *)
+        fresh_candidate rng space history ~pending:!chosen
+    in
+    chosen := c :: !chosen
+  done;
+  Array.of_list (List.rev !chosen)
+
+(* Every proposal is told before the next, so the history length is the
+   number of configurations proposed so far. Warm-up batches never straddle
+   into the guided phase. *)
+let propose t =
+  if Option.is_some t.pending then
+    invalid_arg "Bo.Optimizer.propose: previous proposal not told";
+  let { n_init; n_iter; batch_size; _ } = t.settings in
+  let n = History.length t.history in
+  let batch =
+    if n < n_init then propose_warmup t (Stdlib.min batch_size (n_init - n))
+    else if n < n_init + n_iter then
+      propose_guided t (Stdlib.min batch_size (n_init + n_iter - n))
+    else [||]
+  in
+  if Array.length batch > 0 then t.pending <- Some batch;
+  Array.mapi (fun i config -> (n + i, config)) batch
+
+let tell t evals =
+  match t.pending with
+  | None -> invalid_arg "Bo.Optimizer.tell: nothing proposed"
+  | Some batch ->
+      if Array.length evals <> Array.length batch then
+        invalid_arg "Bo.Optimizer.tell: wrong number of evaluations";
+      t.pending <- None;
+      Array.iteri (fun i config -> record t.history t.space config evals.(i)) batch
+
+let maximize rng ?settings ?pool space ~f =
+  let t = create rng ?settings ?pool space in
+  let rec loop () =
+    match propose t with
+    | [||] -> t.history
+    | batch ->
+        tell t (Par.parallel_map ~pool:t.par ~chunk:1 (fun (_, c) -> f c) batch);
+        loop ()
+  in
+  loop ()

@@ -2,7 +2,15 @@
     as configured by the paper: uniform random warm-up, random-forest
     surrogate, Expected Improvement weighted by probability of feasibility),
     extended with constant-liar batch proposal so several candidates can be
-    evaluated concurrently per surrogate fit. *)
+    evaluated concurrently per surrogate fit.
+
+    The core is ask/tell, like HyperMapper's client-server mode: {!propose}
+    hands out a batch of configurations, the caller measures them however
+    it likes (a worker pool, a pre-filter, a journal replay, a fleet of
+    worker processes), and {!tell} commits the results in proposal order.
+    Every random draw and model fit happens inside [propose] on the calling
+    domain, so for a fixed seed and settings the committed history depends
+    only on the evaluations told — never on how or where they ran. *)
 
 type settings = {
   n_init : int;  (** uniform random warm-up evaluations *)
@@ -57,77 +65,54 @@ type evaluation = {
   metadata : (string * float) list;
 }
 
+type t
+(** One optimization run: the RNG stream, the history, the fitted
+    surrogate pair, and the proposal awaiting its evaluations. *)
+
+val create :
+  Homunculus_util.Rng.t ->
+  ?settings:settings ->
+  ?pool:Homunculus_par.Par.pool ->
+  Design_space.t ->
+  t
+(** Surrogate fits and candidate scoring run on [pool] (default
+    {!Homunculus_par.Par.default}). @raise Invalid_argument when [n_init],
+    [batch_size] or [refit_every] is not positive. *)
+
+val propose : t -> (int * Config.t) array
+(** The next batch: up to [batch_size] configurations, each paired with the
+    0-based position its evaluation will occupy in the history. Warm-up
+    batches are uniform samples; guided batches come from one surrogate fit
+    (or a reused one, per the refit cadence) by constant-liar selection.
+    Duplicates of evaluated or batch-mate configurations are replaced by
+    fresh uniform samples when possible. Returns [[||]] once
+    [n_init + n_iter] configurations have been proposed.
+    @raise Invalid_argument if the previous proposal has not been told. *)
+
+val tell : t -> evaluation array -> unit
+(** Commit the evaluations of the last proposal, in its order.
+    @raise Invalid_argument when nothing is awaiting evaluations or the
+    array's length differs from the proposal's. *)
+
+val history : t -> History.t
+(** Everything told so far, in proposal order. *)
+
+val refits : t -> int
+(** How many times the surrogate pair has actually been fitted — the
+    refit-cadence benches count these. *)
+
 val maximize :
   Homunculus_util.Rng.t ->
   ?settings:settings ->
   ?pool:Homunculus_par.Par.pool ->
-  ?on_iteration:(int -> History.entry -> unit) ->
-  ?on_batch_start:(unit -> unit) ->
-  ?prefilter:(index:int -> Config.t -> evaluation option) ->
-  ?on_refit:(int -> unit) ->
-  ?dispatch:((int * Config.t) array -> evaluation array) ->
   Design_space.t ->
   f:(Config.t -> evaluation) ->
   History.t
-(** Run the full loop and return the evaluation history. The black box [f] is
-    called exactly [n_init + n_iter] times (duplicate candidates are replaced
-    by fresh uniform samples before evaluation when possible).
-
-    Surrogate fits, candidate scoring, and batch evaluations run on [pool]
-    (default {!Homunculus_par.Par.default}); [f] may be called from pool
-    worker domains, concurrently with other calls within the same batch.
-    The result is deterministic: for a fixed seed and settings, the returned
-    history is identical at any worker count, because all random draws happen
-    sequentially on the caller's RNG and results are committed in proposal
-    order. [on_iteration] likewise fires in proposal order, on the calling
-    domain.
-
-    [on_batch_start] fires on the calling domain immediately before each
-    batch of evaluations is dispatched (in both phases). A rung scheduler
-    uses it to freeze the pruning thresholds a whole batch is judged
-    against, which is what keeps pruning decisions independent of worker
-    count.
-
-    [prefilter] is consulted for every proposal, sequentially in proposal
-    order on the calling domain, after [on_batch_start] and before the batch
-    is dispatched. Returning [Some evaluation] commits that evaluation in
-    the candidate's history slot without calling [f] (the learned cost
-    model's predicted-infeasible skip); [None] evaluates exactly. Because
-    decisions precede dispatch, they depend on the batch boundary (a
-    batch-mate's outcome is not yet observable) but never on worker
-    scheduling — the ASHA freeze rule, applied to filtering. [index] is the
-    same proposal-order history index [f] would have received.
-
-    [on_refit] fires (with the history length) each time the surrogate pair
-    is actually fitted — the refit-cadence benches count these.
-
-    [dispatch], when present, replaces the in-process pool for exact
-    evaluations: each batch's surviving [(index, config)] pairs (after
-    pre-filter skips) are handed over in proposal order and the dispatcher
-    must return their evaluations in the same order ([f] is then never
-    called). The distributed coordinator leases batches to worker processes
-    through this hook; since proposals, pre-filter decisions, and commits
-    all stay on the calling domain, the history remains bit-identical to an
-    inline run. @raise Invalid_argument if the returned array's length
-    differs from the batch's. *)
-
-val maximize_indexed :
-  Homunculus_util.Rng.t ->
-  ?settings:settings ->
-  ?pool:Homunculus_par.Par.pool ->
-  ?on_iteration:(int -> History.entry -> unit) ->
-  ?on_batch_start:(unit -> unit) ->
-  ?prefilter:(index:int -> Config.t -> evaluation option) ->
-  ?on_refit:(int -> unit) ->
-  ?dispatch:((int * Config.t) array -> evaluation array) ->
-  Design_space.t ->
-  f:(index:int -> Config.t -> evaluation) ->
-  History.t
-(** {!maximize} with the candidate's proposal-order index passed to the
-    black box: [index] is the 0-based position the evaluation will occupy in
-    the returned history, fixed at proposal time and therefore identical at
-    any worker count. Fault-injection plans and journals address candidates
-    by this index. *)
+(** The plain driver: {!propose}, evaluate the batch with
+    {!Homunculus_par.Par.parallel_map} on [pool], {!tell}, until the budget
+    is spent. [f] is called exactly [n_init + n_iter] times, possibly from
+    pool worker domains and concurrently within a batch; the history is
+    identical at any worker count. *)
 
 val random_search :
   Homunculus_util.Rng.t ->

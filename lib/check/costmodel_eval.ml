@@ -1,4 +1,5 @@
 module Bo = Homunculus_bo
+module Par = Homunculus_par.Par
 module Rng = Homunculus_util.Rng
 
 type winner = { config : Bo.Config.t; objective : float }
@@ -21,25 +22,44 @@ let winner_of_history history =
       { config = e.Bo.History.config; objective = e.Bo.History.objective })
     (Bo.History.best history)
 
+(* The filtered search as the compiler drives it, minus the journal: the
+   filter judges each proposed batch sequentially in proposal order (its
+   counters are not domain-safe), only the survivors are evaluated, and
+   every committed exact entry then trains the filter in commit order. *)
+let filtered_history ~seed ?settings ?pool cm space ~f =
+  let opt = Bo.Optimizer.create (Rng.create seed) ?settings ?pool space in
+  let rec loop () =
+    match Bo.Optimizer.propose opt with
+    | [||] -> Bo.Optimizer.history opt
+    | batch ->
+        let configs = Array.map snd batch in
+        let judged = Array.map (Bo.Cost_model.prefilter cm) configs in
+        let evals =
+          Par.parallel_map ?pool ~chunk:1
+            (fun (config, verdict) ->
+              match verdict with Some predicted -> predicted | None -> f config)
+            (Array.combine configs judged)
+        in
+        Bo.Optimizer.tell opt evals;
+        Array.iter2
+          (fun config (e : Bo.Optimizer.evaluation) ->
+            if not (Bo.Cost_model.is_predicted e.Bo.Optimizer.metadata) then
+              Bo.Cost_model.observe cm ~config ~objective:e.Bo.Optimizer.objective
+                ~feasible:e.Bo.Optimizer.feasible ~pruned:e.Bo.Optimizer.pruned)
+          configs evals;
+        loop ()
+  in
+  loop ()
+
 let run ~seed ?settings ?cost_settings ~space ~features ~eval () =
   (* Exact arm: the reference corpus. *)
   let exact_history =
     Bo.Optimizer.maximize (Rng.create seed) ?settings space ~f:eval
   in
   (* Filtered arm: same seed, same settings, judged by a freshly warmed
-     filter. The observation feed mirrors the compiler's wiring: every
-     committed entry except the filter's own predicted skips trains it. *)
+     filter. *)
   let cm = Bo.Cost_model.create ?settings:cost_settings ~seed ~features () in
-  let on_iteration (_ : int) (e : Bo.History.entry) =
-    if not (Bo.Cost_model.is_predicted e.Bo.History.metadata) then
-      Bo.Cost_model.observe cm ~config:e.Bo.History.config
-        ~objective:e.Bo.History.objective ~feasible:e.Bo.History.feasible
-        ~pruned:e.Bo.History.pruned
-  in
-  let filtered_history =
-    Bo.Optimizer.maximize (Rng.create seed) ?settings ~on_iteration
-      ~prefilter:(Bo.Cost_model.prefilter cm) space ~f:eval
-  in
+  let filtered_history = filtered_history ~seed ?settings cm space ~f:eval in
   let exact_winner = winner_of_history exact_history in
   let filtered_winner = winner_of_history filtered_history in
   (* Post-hoc audit: evaluate every skipped candidate exactly. A skip that

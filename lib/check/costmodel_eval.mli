@@ -36,6 +36,19 @@ type report = {
   stats : Bo.Cost_model.stats;
 }
 
+val filtered_history :
+  seed:int ->
+  ?settings:Bo.Optimizer.settings ->
+  ?pool:Homunculus_par.Par.pool ->
+  Bo.Cost_model.t ->
+  Bo.Design_space.t ->
+  f:(Bo.Config.t -> Bo.Optimizer.evaluation) ->
+  Bo.History.t
+(** The pre-filtered search, driven by propose/tell: each proposed batch is
+    judged by the filter in proposal order on the calling domain, the
+    survivors are evaluated with [f] on [pool], and every committed exact
+    entry trains the filter in commit order. *)
+
 val run :
   seed:int ->
   ?settings:Bo.Optimizer.settings ->

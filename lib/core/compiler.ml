@@ -1,6 +1,7 @@
 open Homunculus_alchemy
 open Homunculus_backends
 module Bo = Homunculus_bo
+module Par = Homunculus_par.Par
 module Rng = Homunculus_util.Rng
 module Supervisor = Homunculus_resilience.Supervisor
 
@@ -80,8 +81,146 @@ let emit_code platform model_ir =
   | Platform.Tofino _ ->
       P4gen.emit model_ir ^ "\n" ^ P4gen.emit_entries model_ir
 
-let search_algorithm rng ~seed ~settings ?prune ?supervisor ?cost_model
-    ?dispatch ?deadline platform spec algorithm =
+(* A per-configuration seed makes the black box deterministic: the same
+   suggestion always measures the same, which stabilizes the search — and
+   makes any artifact rebuildable from just its config, in any process. *)
+let build ~seed ?prune platform spec algorithm guard config =
+  let eval_rng = Rng.create (seed lxor Bo.Config.hash config) in
+  Evaluator.evaluate eval_rng ?prune ?guard platform spec algorithm config
+
+(* One exact evaluation, paired with the artifact when this call built one.
+   Supervised: failures become tagged infeasible evaluations instead of
+   killing the search, and recorded outcomes replay without re-training.
+   Retries reuse the same config-derived seed. *)
+let evaluate_exact ~supervisor ~scope ~build ~score (index, config) =
+  let built = ref None in
+  let run guard =
+    let artifact = build guard config in
+    built := Some artifact;
+    score artifact
+  in
+  let eval =
+    match supervisor with
+    | None -> run None
+    | Some sup ->
+        Supervisor.supervise sup ~scope ~index ~config (fun ctx ->
+            run (Some (Supervisor.epoch_guard ctx)))
+  in
+  (!built, eval)
+
+(* The compile driver: one propose -> judge -> evaluate -> tell loop shared
+   by every search. Each round runs on the calling domain, in this order:
+   the wall-clock deadline and the ASHA freeze; the pre-filter's judgement
+   of each proposal in proposal order; exact evaluation of the survivors,
+   through [dispatch] or on the pool; the commit; and the cost model's
+   observation of each committed exact entry, in commit order. Nothing a
+   worker does can reorder any of it, so the history is identical at any
+   worker count, on a fleet, or replayed from a journal. The deadline fires
+   before a batch is dispatched: candidates in flight always finish (and
+   are journaled), so a budget abort leaves the journal holding only
+   completed evaluations — exactly what a warm restart wants to replay.
+
+   The winner is [History.best_entry], whose order mirrors
+   [Evaluator.compare_artifacts]. Its artifact is kept, as each batch is
+   told, when this process built it; a replayed or dispatched winner is
+   rebuilt from its config-derived seed. A failure-tagged winner has no
+   artifact — rebuilding would just fail again — and a predicted-infeasible
+   winner was never evaluated: the final artifact is never chosen on a
+   prediction. *)
+let drive ~deadline ~sched ~supervisor ~cm ~dispatch ~scope opt ~build ~score =
+  let history = Bo.Optimizer.history opt in
+  (* Replayed candidates bypass the filter entirely — the supervisor returns
+     the recorded outcome (exact or predicted) verbatim — so a resumed run's
+     history matches the uninterrupted one even though the filter's
+     counters start over. Fresh skips are journaled durably before they are
+     committed. *)
+  let judge (index, config) =
+    match (cm, supervisor) with
+    | None, _ -> None
+    | Some _, Some sup when Supervisor.recorded sup ~scope ~config -> None
+    | Some cm, _ ->
+        let verdict = Bo.Cost_model.prefilter cm config in
+        (match (verdict, supervisor) with
+        | Some eval, Some sup ->
+            Supervisor.record_predicted sup ~scope ~index ~config ~eval
+        | (Some _ | None), _ -> ());
+        verdict
+  in
+  (* Predicted commits and failure-tagged entries are not observations: the
+     former were never measured, the latter's infeasibility is a training
+     accident (divergence, timeout), not a property of the architecture. *)
+  let observe cm (_, config) (_, (e : Bo.Optimizer.evaluation)) =
+    if
+      not
+        (Bo.Cost_model.is_predicted e.Bo.Optimizer.metadata
+        || List.mem_assoc Supervisor.failure_key e.Bo.Optimizer.metadata)
+    then
+      Bo.Cost_model.observe cm ~config ~objective:e.Bo.Optimizer.objective
+        ~feasible:e.Bo.Optimizer.feasible ~pruned:e.Bo.Optimizer.pruned
+  in
+  (* The best entry told so far, with its artifact when this process built
+     it: [History.best_entry]'s own fold, advanced one batch at a time. *)
+  let best = ref None in
+  let rec round () =
+    match Bo.Optimizer.propose opt with
+    | [||] -> ()
+    | batch ->
+        (match deadline with
+        | Some d when Unix.gettimeofday () > d -> raise Search_budget_exhausted
+        | Some _ | None -> ());
+        Option.iter Bo.Asha.freeze sched;
+        let judged = Array.map judge batch in
+        let survivors =
+          List.filteri (fun i _ -> Option.is_none judged.(i)) (Array.to_list batch)
+          |> Array.of_list
+        in
+        let results =
+          match dispatch with
+          | None ->
+              Par.parallel_map ~chunk:1
+                (evaluate_exact ~supervisor ~scope ~build ~score)
+                survivors
+          | Some send ->
+              let evals = send survivors in
+              if Array.length evals <> Array.length survivors then
+                invalid_arg "Compiler: dispatch returned wrong arity";
+              Array.map (fun e -> (None, e)) evals
+        in
+        let next = ref (-1) in
+        let committed =
+          Array.map
+            (function
+              | Some predicted -> (None, predicted)
+              | None ->
+                  incr next;
+                  results.(!next))
+            judged
+        in
+        Bo.Optimizer.tell opt (Array.map snd committed);
+        Option.iter (fun cm -> Array.iter2 (observe cm) batch committed) cm;
+        let base = fst batch.(0) in
+        List.filteri (fun i _ -> i >= base) (Bo.History.entries history)
+        |> List.iteri (fun i e ->
+               match !best with
+               | Some (b, _) when Bo.History.compare_entries e b >= 0 -> ()
+               | Some _ | None -> best := Some (e, fst committed.(i)));
+        round ()
+  in
+  round ();
+  match Bo.History.best_entry history with
+  | None -> None
+  | Some e
+    when List.mem_assoc Supervisor.failure_key e.Bo.History.metadata
+         || Bo.Cost_model.is_predicted e.Bo.History.metadata ->
+      None
+  | Some e -> (
+      match !best with
+      | Some (b, Some a) when b.Bo.History.iteration = e.Bo.History.iteration ->
+          Some a
+      | Some _ | None -> Some (build None e.Bo.History.config))
+
+let search_algorithm rng ~options ~settings platform spec algorithm =
+  let seed = options.seed in
   let data = Model_spec.load spec in
   let input_dim =
     Homunculus_ml.Dataset.n_features data.Model_spec.train
@@ -109,145 +248,23 @@ let search_algorithm rng ~seed ~settings ?prune ?supervisor ?cost_model
         Bo.Cost_model.create ~settings:cm_settings
           ~seed:(seed lxor Hashtbl.hash scope)
           ~features ())
-      cost_model
+      options.cost_model
   in
   (* Rung pruning only pays off where training is epoch-iterative. *)
   let sched =
-    match (prune, algorithm) with
+    match (options.prune, algorithm) with
     | Some s, Model_spec.Dnn -> Some (Bo.Asha.create ~settings:s ())
     | (Some _, _ | None, _) -> None
   in
-  (* [eval] may run on worker domains when the optimizer batches proposals;
-     the running best is guarded by a mutex, and because
-     [Evaluator.compare_artifacts] is a total order the winner is the same
-     whatever order the batch completes in. *)
-  let best = ref None in
-  let best_lock = Mutex.create () in
-  (* A per-configuration seed makes the black box deterministic: the same
-     suggestion always measures the same, which stabilizes the search —
-     and makes the winning artifact rebuildable from just its config. *)
-  let run_eval ?guard config =
-    let eval_rng = Rng.create (seed lxor Bo.Config.hash config) in
-    let artifact =
-      Evaluator.evaluate eval_rng ?prune:sched ?guard platform spec algorithm
-        config
-    in
-    Mutex.lock best_lock;
-    best := Evaluator.better_artifact !best artifact;
-    Mutex.unlock best_lock;
-    artifact
-  in
-  let eval ~index config =
-    match supervisor with
-    | None -> Evaluator.to_bo_evaluation (run_eval config)
-    | Some sup ->
-        (* Supervised: failures become tagged infeasible evaluations instead
-           of killing the search, and recorded outcomes replay without
-           re-training. Retries reuse the same config-derived seed. *)
-        Supervisor.supervise sup ~scope ~index ~config (fun ctx ->
-            Evaluator.to_bo_evaluation
-              (run_eval ~guard:(Supervisor.epoch_guard ctx) config))
-  in
-  (* The whole-search wall-clock deadline is enforced at batch boundaries,
-     on the calling domain, before the batch is dispatched: candidates in
-     flight always finish (and are journaled), so a budget abort leaves the
-     journal holding only completed evaluations — exactly what a warm
-     restart wants to replay. *)
-  let on_batch_start =
-    match (deadline, sched) with
-    | None, None -> None
-    | _ ->
-        Some
-          (fun () ->
-            (match deadline with
-            | Some d when Unix.gettimeofday () > d ->
-                raise Search_budget_exhausted
-            | Some _ | None -> ());
-            Option.iter Bo.Asha.freeze sched)
-  in
-  (* Pre-filter plumbing. Replayed candidates bypass the filter entirely —
-     the supervisor returns the recorded outcome (exact or predicted)
-     verbatim — so a resumed run's history matches the uninterrupted one
-     even though the filter's counters start over. Fresh skips are journaled
-     durably before they are committed. *)
-  let prefilter =
-    Option.map
-      (fun cm ~index config ->
-        let replayed =
-          match supervisor with
-          | Some sup -> Supervisor.recorded sup ~scope ~config
-          | None -> false
-        in
-        if replayed then None
-        else
-          match Bo.Cost_model.classify cm config with
-          | Bo.Cost_model.Exact_required _ -> None
-          | Bo.Cost_model.Predicted_infeasible { p_feasible; predicted_objective }
-            ->
-              let eval =
-                Bo.Cost_model.predicted_evaluation ~p_feasible
-                  ~predicted_objective
-              in
-              (match supervisor with
-              | Some sup ->
-                  Supervisor.record_predicted sup ~scope ~index ~config ~eval
-              | None -> ());
-              Some eval)
-      cm
-  in
-  (* Feed every committed exact outcome back as a training example. Fires in
-     proposal order on the calling domain, so the filter's model state is a
-     pure function of the committed sequence — identical on resume.
-     Predicted commits and failure-tagged entries are not observations: the
-     former were never measured, the latter's infeasibility is a training
-     accident (divergence, timeout), not a property of the architecture. *)
-  let on_iteration =
-    Option.map
-      (fun cm (_ : int) (e : Bo.History.entry) ->
-        if
-          not
-            (Bo.Cost_model.is_predicted e.Bo.History.metadata
-            || List.mem_assoc Supervisor.failure_key e.Bo.History.metadata)
-        then
-          Bo.Cost_model.observe cm ~config:e.Bo.History.config
-            ~objective:e.Bo.History.objective ~feasible:e.Bo.History.feasible
-            ~pruned:e.Bo.History.pruned)
-      cm
-  in
-  (* Distributed dispatch: batches go out as leases to worker processes
-     instead of the in-process pool; [eval] then never runs here, so the
-     winner must come from the history path below (same as replay). *)
-  let dispatch = Option.map (fun d -> d ~scope) dispatch in
-  let history =
-    Bo.Optimizer.maximize_indexed rng ~settings ?on_iteration ?on_batch_start
-      ?prefilter ?dispatch space ~f:eval
-  in
+  let opt = Bo.Optimizer.create rng ~settings space in
   let winner =
-    match (supervisor, cm, dispatch) with
-    | None, None, None -> !best
-    | _ -> (
-        (* Replayed evaluations never ran the artifact-producing thunk, so
-           [!best] can miss the true winner on a resumed search. Pick it
-           from the history (whose order mirrors [compare_artifacts]) and
-           rebuild the artifact deterministically if it wasn't cached. A
-           failure-tagged winner has no artifact — rebuilding would just
-           fail again — and a predicted-infeasible winner was never
-           evaluated at all: the final artifact is never chosen on a
-           prediction. *)
-        match Bo.History.best_entry history with
-        | None -> None
-        | Some e
-          when List.mem_assoc Supervisor.failure_key e.Bo.History.metadata
-               || Bo.Cost_model.is_predicted e.Bo.History.metadata ->
-            None
-        | Some e -> (
-            match !best with
-            | Some a when Bo.Config.equal a.Evaluator.config e.Bo.History.config
-              ->
-                Some a
-            | Some _ | None -> Some (run_eval e.Bo.History.config)))
+    drive ~deadline:options.deadline ~sched ~supervisor:options.supervisor ~cm
+      ~dispatch:(Option.map (fun d -> d ~scope) options.dispatch)
+      ~scope opt
+      ~build:(build ~seed ?prune:sched platform spec algorithm)
+      ~score:Evaluator.to_bo_evaluation
   in
-  (winner, history, sched, Option.map Bo.Cost_model.stats cm)
+  (winner, Bo.Optimizer.history opt, Option.map Bo.Cost_model.stats cm)
 
 let search_model ?(options = default_options) platform spec =
   (* ASHA rungs share mutable per-batch thresholds that live in this
@@ -279,11 +296,8 @@ let search_model ?(options = default_options) platform spec =
     List.map
       (fun algorithm ->
         let rng = Rng.split master in
-        let best, history, (_ : Bo.Asha.t option), stats =
-          search_algorithm rng ~seed:options.seed ~settings
-            ?prune:options.prune ?supervisor:options.supervisor
-            ?cost_model:options.cost_model ?dispatch:options.dispatch
-            ?deadline:options.deadline platform spec algorithm
+        let best, history, stats =
+          search_algorithm rng ~options ~settings platform spec algorithm
         in
         (algorithm, best, history, stats))
       candidates
@@ -368,16 +382,10 @@ let worker_eval ~options ~platform ~specs ~scope ~index ~config =
         invalid_arg
           (Printf.sprintf "Compiler.worker_eval: no spec named %S" name)
   in
-  let run_eval ?guard () =
-    let eval_rng = Rng.create (options.seed lxor Bo.Config.hash config) in
-    Evaluator.evaluate eval_rng ?guard platform spec algorithm config
-  in
-  match options.supervisor with
-  | None -> Evaluator.to_bo_evaluation (run_eval ())
-  | Some sup ->
-      Supervisor.supervise sup ~scope ~index ~config (fun ctx ->
-          Evaluator.to_bo_evaluation
-            (run_eval ~guard:(Supervisor.epoch_guard ctx) ()))
+  snd
+    (evaluate_exact ~supervisor:options.supervisor ~scope
+       ~build:(build ~seed:options.seed platform spec algorithm)
+       ~score:Evaluator.to_bo_evaluation (index, config))
 
 (* Incremental re-search: one budgeted search_model run whose failure modes
    are data, not exceptions — the autopilot's degradation branches key off
@@ -442,59 +450,37 @@ let search_tradeoff ?(options = default_options) ?(n_scalarizations = 5)
   let data = Model_spec.load spec in
   let input_dim = Homunculus_ml.Dataset.n_features data.Model_spec.train in
   let space = Space_builder.build platform algorithm ~input_dim in
+  let scope =
+    Model_spec.name spec ^ "/" ^ Model_spec.algorithm_to_string algorithm
+  in
   let master = Rng.create options.seed in
   let points = ref [] in
   for _ = 1 to n_scalarizations do
     let run_rng = Rng.split master in
     let weight = Rng.uniform run_rng 0.3 1.0 in
-    (* Same concurrency story as [search_algorithm]: the scalarized running
-       best lives behind a mutex and is ranked by a total order (feasible
-       first, then scalarized score, then configuration string), so batched
-       evaluation order cannot change the winner. *)
-    let score a f =
-      (weight *. a.Evaluator.objective) -. ((1. -. weight) *. f)
-    in
-    let ranks_higher (a, af) (b, bf) =
-      let fc =
-        Bool.compare b.Evaluator.verdict.Resource.feasible
-          a.Evaluator.verdict.Resource.feasible
-      in
-      if fc <> 0 then fc < 0
-      else
-        let sc = Float.compare (score b bf) (score a af) in
-        if sc <> 0 then sc < 0
-        else
-          String.compare
-            (Bo.Config.to_string a.Evaluator.config)
-            (Bo.Config.to_string b.Evaluator.config)
-          < 0
-    in
-    let best = ref None in
-    let best_lock = Mutex.create () in
-    let eval config =
-      let eval_rng = Rng.create (options.seed lxor Bo.Config.hash config) in
-      let artifact = Evaluator.evaluate eval_rng platform spec algorithm config in
-      let fraction = resource_fraction artifact.Evaluator.verdict in
-      Mutex.lock best_lock;
-      (match !best with
-      | Some incumbent when not (ranks_higher (artifact, fraction) incumbent) ->
-          ()
-      | Some _ | None -> best := Some (artifact, fraction));
-      Mutex.unlock best_lock;
+    (* The scalarized score is the history objective, so the driver's
+       winner order (feasible first, then score, then configuration) is the
+       scalarized ranking. *)
+    let score artifact =
       {
         Bo.Optimizer.objective =
-          (weight *. artifact.Evaluator.objective) -. ((1. -. weight) *. fraction);
+          (weight *. artifact.Evaluator.objective)
+          -. ((1. -. weight) *. resource_fraction artifact.Evaluator.verdict);
         feasible = artifact.Evaluator.verdict.Resource.feasible;
         pruned = artifact.Evaluator.pruned;
         metadata = [];
       }
     in
-    let (_ : Bo.History.t) =
-      Bo.Optimizer.maximize run_rng ~settings:options.bo_settings space ~f:eval
-    in
-    match !best with
-    | Some (artifact, fraction) when artifact.Evaluator.verdict.Resource.feasible ->
-        points := { artifact; resource_fraction = fraction; weight } :: !points
+    let opt = Bo.Optimizer.create run_rng ~settings:options.bo_settings space in
+    match
+      drive ~deadline:None ~sched:None ~supervisor:None ~cm:None ~dispatch:None
+        ~scope opt
+        ~build:(build ~seed:options.seed platform spec algorithm)
+        ~score
+    with
+    | Some artifact when artifact.Evaluator.verdict.Resource.feasible ->
+        let resource_fraction = resource_fraction artifact.Evaluator.verdict in
+        points := { artifact; resource_fraction; weight } :: !points
     | Some _ | None -> ()
   done;
   if !points = [] then

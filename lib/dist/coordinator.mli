@@ -1,11 +1,13 @@
 (** The coordinator side of the distributed DSE.
 
-    Plugs into {!Homunculus_bo.Optimizer.maximize_indexed}'s [dispatch]
-    hook: each batch of (proposal-index, configuration) pairs is published
-    as lease files for worker processes to claim, and the call returns once
-    every candidate's evaluation has been read back from the per-worker
-    journals — in batch order, so the optimizer's commit loop (and hence
-    the {!Homunculus_bo.History.t}) is bit-identical to an inline run.
+    Plugs into the compile driver as [Compiler.options.dispatch]: each
+    batch that {!Homunculus_bo.Optimizer.propose} hands out (after the
+    pre-filter's skips) is published as lease files of (proposal-index,
+    configuration) pairs for worker processes to claim, and the call
+    returns once every candidate's evaluation has been read back from the
+    per-worker journals — in batch order, so what the driver passes to
+    {!Homunculus_bo.Optimizer.tell} (and hence the
+    {!Homunculus_bo.History.t}) is bit-identical to an inline run.
 
     Elasticity and fault tolerance come from two rules:
 
@@ -48,8 +50,8 @@ val create :
 
 val dispatch : t -> scope:string -> (int * Bo.Config.t) array -> Bo.Optimizer.evaluation array
 (** Lease the batch out and block until every evaluation is in, returning
-    them in batch order. Pass [fun batch -> dispatch t ~scope batch] as the
-    optimizer's [dispatch] hook. *)
+    them in batch order. Pass [fun ~scope batch -> dispatch t ~scope batch]
+    as [Compiler.options.dispatch]. *)
 
 val finish : t -> unit
 (** Write the done marker (workers drain and exit), sync and close the

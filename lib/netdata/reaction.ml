@@ -95,7 +95,7 @@ let summarize reactions =
       detected = n_detected;
       detection_rate = float_of_int n_detected /. float_of_int n_flows;
       mean_packets = Stats.mean packets;
-      median_seconds = Stats.median seconds;
+      median_seconds = Stats.nearest_rank seconds 50.;
       p95_seconds = Stats.nearest_rank seconds 95.;
     }
 

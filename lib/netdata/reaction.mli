@@ -46,6 +46,8 @@ type summary = {
   mean_packets : float;  (** over detected flows; 0 when none *)
   median_seconds : float;
   p95_seconds : float;
+      (** nearest-rank percentiles of the detected flows' verdict times:
+          each is a time some flow actually took *)
 }
 
 val summarize : reaction list -> summary

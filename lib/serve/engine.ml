@@ -129,6 +129,20 @@ let dummy_event =
 let load_runtime config model =
   Runtime.load ~entries_per_feature:config.entries_per_feature model
 
+(* Without an autopilot, the updater's own retrain-and-validate is the drift
+   reaction: a challenger that clears the margin installs with the scores of
+   the decision that accepted it. *)
+let updater_hook u ~now ~drift ~incumbent =
+  match
+    Updater.try_update u ~incumbent ~ts:now ~reason:drift.Monitor.reason
+  with
+  | None -> Keep
+  | Some model ->
+      let { Updater.incumbent_f1; challenger_f1; _ } =
+        List.hd (List.rev (Updater.decisions u))
+      in
+      Install { model; incumbent_f1; challenger_f1 }
+
 let create ?(config = default_config) ~model ~monitor ?updater ?research () =
   if config.queue_capacity <= 0 then invalid_arg "Engine.create: queue_capacity <= 0";
   if config.batch_size <= 0 then invalid_arg "Engine.create: batch_size <= 0";
@@ -155,7 +169,10 @@ let create ?(config = default_config) ~model ~monitor ?updater ?research () =
     ref_mlp;
     monitor;
     updater;
-    research;
+    research =
+      (match (research, updater) with
+      | None, Some u -> Some (updater_hook u)
+      | Some _, _ | None, None -> research);
     queue = Queue.create ();
     srv = 0.;
     offered = 0;
@@ -283,36 +300,20 @@ let install t ~now ~reason ~incumbent_f1 ~challenger_f1 challenger =
   Monitor.rebaseline t.monitor
 
 let maybe_swap t ~now =
-  match Monitor.poll_drift t.monitor with
-  | None -> ()
-  | Some drift -> (
-      match (t.research, t.updater) with
-      | Some hook, _ -> (
-          (* Autopilot: the re-search hook owns the reaction. The incumbent
-             keeps serving for as long as the hook runs; a [Keep] leaves it
-             installed and just re-arms the detectors — the serving path is
-             never worse off than before the drift. *)
-          match hook ~now ~drift ~incumbent:t.model_ir with
-          | Keep -> Monitor.rearm t.monitor
-          | Install { model; incumbent_f1; challenger_f1 } ->
-              install t ~now ~reason:drift.Monitor.reason ~incumbent_f1
-                ~challenger_f1 model)
-      | None, None -> ()  (* monitoring only: the alarm stays latched/logged *)
-      | None, Some u -> (
-          match
-            Updater.try_update u ~incumbent:t.model_ir ~ts:now
-              ~reason:drift.Monitor.reason
-          with
-          | None -> Monitor.rearm t.monitor
-          | Some challenger ->
-              let last_decision =
-                match List.rev (Updater.decisions u) with
-                | d :: _ -> d
-                | [] -> assert false
-              in
-              install t ~now ~reason:drift.Monitor.reason
-                ~incumbent_f1:last_decision.Updater.incumbent_f1
-                ~challenger_f1:last_decision.Updater.challenger_f1 challenger))
+  match (Monitor.poll_drift t.monitor, t.research) with
+  | None, _ -> ()
+  | Some _, None -> ()  (* monitoring only: the alarm stays latched/logged *)
+  | Some drift, Some hook -> (
+      (* The hook owns the reaction — the autopilot's re-search, or the
+         updater's retrain. The incumbent keeps serving for as long as the
+         hook runs; a [Keep] leaves it installed and just re-arms the
+         detectors — the serving path is never worse off than before the
+         drift. *)
+      match hook ~now ~drift ~incumbent:t.model_ir with
+      | Keep -> Monitor.rearm t.monitor
+      | Install { model; incumbent_f1; challenger_f1 } ->
+          install t ~now ~reason:drift.Monitor.reason ~incumbent_f1
+            ~challenger_f1 model)
 
 (* Serve one batch of up to [batch_size] queued packets, advancing virtual
    time by one service slot per packet. *)

@@ -107,10 +107,13 @@ val create :
   ?research:research_hook ->
   unit ->
   t
-(** When [research] is present it owns the drift reaction: the updater (if
-    any) still buffers labeled traffic and supplies quantization
-    calibration, but {!Updater.try_update} is never called — challengers
-    come from the hook.
+(** One hook owns the drift reaction. When [research] is present it is
+    that hook: the updater (if any) still buffers labeled traffic and
+    supplies quantization calibration, but {!Updater.try_update} is never
+    called — challengers come from the hook. Without [research], an
+    [updater] becomes the hook: {!Updater.try_update} answers [Keep] or
+    [Install] with the F1 scores of the decision it just made. With
+    neither, drift alarms are only logged.
     @raise Invalid_argument on a non-positive queue, batch, or rate — or,
     in [Quantized] mode, on a model {!Homunculus_backends.Runtime.load}
     rejects. *)

@@ -445,18 +445,34 @@ let test_optimizer_respects_feasibility () =
       Alcotest.(check bool) "x <= 0" true (Bo.Config.get_float e.Bo.History.config "x" <= 0.)
   | None -> Alcotest.fail "expected a feasible best"
 
+(* A hand-written ask/tell driver: evaluate each proposed batch
+   sequentially on this domain, tell, and call [after] once it is told. *)
+let drive_propose_tell ?(after = fun _ -> ()) opt =
+  let rec loop () =
+    match Bo.Optimizer.propose opt with
+    | [||] -> ()
+    | batch ->
+        Bo.Optimizer.tell opt
+          (Array.map (fun (_, config) -> quadratic_eval config) batch);
+        after batch;
+        loop ()
+  in
+  loop ()
+
 let test_optimizer_callback_invoked () =
   let calls = ref 0 in
   let settings =
     { Bo.Optimizer.default_settings with Bo.Optimizer.n_init = 3; n_iter = 2 }
   in
-  let _ =
-    Bo.Optimizer.maximize (rng ()) ~settings
-      ~on_iteration:(fun i entry ->
-        incr calls;
-        Alcotest.(check int) "iteration matches" i entry.Bo.History.iteration)
-      quadratic_space ~f:quadratic_eval
-  in
+  let opt = Bo.Optimizer.create (rng ()) ~settings quadratic_space in
+  drive_propose_tell opt ~after:(fun batch ->
+      let entries = Bo.History.entries (Bo.Optimizer.history opt) in
+      Array.iter
+        (fun (index, _) ->
+          incr calls;
+          Alcotest.(check int) "iteration matches" (index + 1)
+            (List.nth entries index).Bo.History.iteration)
+        batch);
   Alcotest.(check int) "5 callbacks" 5 !calls
 
 let test_optimizer_batched_budget_exact () =
@@ -528,6 +544,79 @@ let test_optimizer_deterministic_across_worker_counts () =
         (entries_identical h1 (run jobs)))
     [ 2; 4 ]
 
+(* Ask/tell protocol. *)
+
+let small_settings ~batch_size ~refit_every =
+  {
+    Bo.Optimizer.default_settings with
+    Bo.Optimizer.n_init = 4;
+    n_iter = 9;
+    pool_size = 30;
+    surrogate_trees = 5;
+    batch_size;
+    refit_every;
+    refit_threshold = 6;
+  }
+
+(* The hand-written driver evaluates sequentially on this domain;
+   [maximize] evaluates on the default pool. Every draw and fit lives in
+   [propose], so the two commit the same history bit for bit. *)
+let prop_propose_tell_matches_maximize =
+  QCheck.Test.make ~name:"propose/tell loop commits maximize's history"
+    ~count:20
+    QCheck.(triple (int_bound 1_000_000) (int_range 1 3) (oneofl [ 1; 4 ]))
+    (fun (seed, batch_size, refit_every) ->
+      let settings = small_settings ~batch_size ~refit_every in
+      let reference =
+        Bo.Optimizer.maximize (Rng.create seed) ~settings quadratic_space
+          ~f:quadratic_eval
+      in
+      let opt = Bo.Optimizer.create (Rng.create seed) ~settings quadratic_space in
+      drive_propose_tell opt;
+      let bits (e : Bo.History.entry) =
+        ( e.Bo.History.iteration,
+          Bo.Config.to_string e.Bo.History.config,
+          Int64.bits_of_float e.Bo.History.objective,
+          e.Bo.History.feasible,
+          e.Bo.History.pruned,
+          e.Bo.History.metadata )
+      in
+      List.map bits (Bo.History.entries reference)
+      = List.map bits (Bo.History.entries (Bo.Optimizer.history opt)))
+
+let test_propose_tell_misuse_raises () =
+  let opt =
+    Bo.Optimizer.create (rng ())
+      ~settings:(small_settings ~batch_size:2 ~refit_every:1)
+      quadratic_space
+  in
+  let raises name f =
+    Alcotest.(check bool) name true
+      (match f () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  raises "tell before any propose" (fun () -> Bo.Optimizer.tell opt [||]);
+  let batch = Bo.Optimizer.propose opt in
+  Alcotest.(check int) "a full batch" 2 (Array.length batch);
+  raises "propose twice without tell" (fun () -> Bo.Optimizer.propose opt);
+  raises "tell with the wrong arity" (fun () ->
+      Bo.Optimizer.tell opt [| quadratic_eval (snd batch.(0)) |]);
+  (* A rejected tell commits nothing and leaves the proposal open. *)
+  Alcotest.(check int) "nothing committed" 0
+    (Bo.History.length (Bo.Optimizer.history opt));
+  Bo.Optimizer.tell opt (Array.map (fun (_, c) -> quadratic_eval c) batch);
+  Alcotest.(check int) "told" 2 (Bo.History.length (Bo.Optimizer.history opt))
+
+let test_propose_after_budget_is_empty () =
+  let settings = small_settings ~batch_size:3 ~refit_every:4 in
+  let opt = Bo.Optimizer.create (rng ()) ~settings quadratic_space in
+  drive_propose_tell opt;
+  Alcotest.(check int) "budget spent" 13
+    (Bo.History.length (Bo.Optimizer.history opt));
+  Alcotest.(check int) "empty after the budget" 0
+    (Array.length (Bo.Optimizer.propose opt));
+  Alcotest.(check int) "and stays empty" 0
+    (Array.length (Bo.Optimizer.propose opt))
+
 let test_random_search_budget () =
   let count = ref 0 in
   let f config =
@@ -591,4 +680,9 @@ let suite =
     Alcotest.test_case "optimizer deterministic across workers" `Quick
       test_optimizer_deterministic_across_worker_counts;
     Alcotest.test_case "random search budget" `Quick test_random_search_budget;
+    QCheck_alcotest.to_alcotest prop_propose_tell_matches_maximize;
+    Alcotest.test_case "propose/tell misuse raises" `Quick
+      test_propose_tell_misuse_raises;
+    Alcotest.test_case "propose after budget is empty" `Quick
+      test_propose_after_budget_is_empty;
   ]

@@ -479,23 +479,95 @@ let pinned_search ~name ~algorithm ~data ~n_init ~budget platform =
       emit_code = false;
     }
   in
+  (spec, options, platform)
+
+let golden_tree () =
+  pinned_search ~name:"traffic_classification" ~algorithm:Model_spec.Tree
+    ~data:(fun () ->
+      ( Homunculus_netdata.Iot.generate (Rng.create 7) ~n:300 (),
+        Homunculus_netdata.Iot.generate (Rng.create 8) ~n:150 () ))
+    ~n_init:10 ~budget:40 (Platform.tofino ())
+
+let golden_dnn () =
+  pinned_search ~name:"anomaly_detection" ~algorithm:Model_spec.Dnn
+    ~data:(fun () ->
+      Homunculus_netdata.Nslkdd.generate_split (Rng.create 7) ~n_train:300
+        ~n_test:150 ())
+    ~n_init:4 ~budget:16 (Platform.taurus ())
+
+let golden_digest (spec, options, platform) =
   history_digest (Compiler.search_model ~options platform spec).Compiler.history
 
 let test_golden_tree_search () =
   Alcotest.(check string) "history digest" "43b731508f38e42c68c14bd486e05655"
-    (pinned_search ~name:"traffic_classification" ~algorithm:Model_spec.Tree
-       ~data:(fun () ->
-         ( Homunculus_netdata.Iot.generate (Rng.create 7) ~n:300 (),
-           Homunculus_netdata.Iot.generate (Rng.create 8) ~n:150 () ))
-       ~n_init:10 ~budget:40 (Platform.tofino ()))
+    (golden_digest (golden_tree ()))
 
 let test_golden_dnn_search () =
   Alcotest.(check string) "history digest" "f77f495102b3af39ee52a0157a72a15a"
-    (pinned_search ~name:"anomaly_detection" ~algorithm:Model_spec.Dnn
-       ~data:(fun () ->
-         Homunculus_netdata.Nslkdd.generate_split (Rng.create 7) ~n_train:300
-           ~n_test:150 ())
-       ~n_init:4 ~budget:16 (Platform.taurus ()))
+    (golden_digest (golden_dnn ()))
+
+(* One winner path: a plain search keeps the artifact of its best history
+   entry as batches are committed, so the evaluator runs exactly once per
+   history entry — the winner is never trained again. Replaying the
+   search's own journal through a supervisor evaluates nothing, so there
+   the winner is rebuilt from its config, and must come back the same. *)
+module Journal = Homunculus_resilience.Journal
+module Supervisor = Homunculus_resilience.Supervisor
+
+let check_golden_winner (spec, options, platform) =
+  Evaluator.Timing.reset ();
+  let r = Compiler.search_model ~options platform spec in
+  let evaluated =
+    List.fold_left
+      (fun acc (_, h) -> acc + Bo.History.length h)
+      0 r.Compiler.histories
+  in
+  Alcotest.(check int) "one evaluation per history entry" evaluated
+    (Evaluator.Timing.snapshot ()).Evaluator.Timing.evaluations;
+  let path = Filename.temp_file "golden-journal" ".jsonl" in
+  let journal = Journal.open_ path in
+  List.iter
+    (fun (algorithm, history) ->
+      let scope =
+        Model_spec.name spec ^ "/" ^ Model_spec.algorithm_to_string algorithm
+      in
+      List.iter
+        (fun (e : Bo.History.entry) ->
+          ignore
+            (Journal.append journal
+               {
+                 Journal.scope;
+                 index = e.Bo.History.iteration - 1;
+                 config = e.Bo.History.config;
+                 objective = e.Bo.History.objective;
+                 feasible = e.Bo.History.feasible;
+                 pruned = e.Bo.History.pruned;
+                 metadata = e.Bo.History.metadata;
+                 failure = None;
+                 kind = Journal.Exact;
+               }))
+        (Bo.History.entries history))
+    r.Compiler.histories;
+  Journal.close journal;
+  let supervisor = Supervisor.create ~replay:(Journal.load path) () in
+  let replayed =
+    Compiler.search_model
+      ~options:{ options with Compiler.supervisor = Some supervisor }
+      platform spec
+  in
+  Sys.remove path;
+  Alcotest.(check int) "every candidate replayed" evaluated
+    (Supervisor.replayed_count supervisor);
+  let a = r.Compiler.artifact and b = replayed.Compiler.artifact in
+  Alcotest.(check string) "same winner config"
+    (Bo.Config.to_string a.Evaluator.config)
+    (Bo.Config.to_string b.Evaluator.config);
+  Alcotest.(check int64) "same winner objective bits"
+    (Int64.bits_of_float a.Evaluator.objective)
+    (Int64.bits_of_float b.Evaluator.objective)
+
+let test_golden_tree_winner () = check_golden_winner (golden_tree ())
+let test_golden_dnn_winner () = check_golden_winner (golden_dnn ())
 
 let suite =
   [
@@ -532,4 +604,8 @@ let suite =
     Alcotest.test_case "report regret monotone" `Quick test_report_regret_series_monotone;
     Alcotest.test_case "golden tree search" `Quick test_golden_tree_search;
     Alcotest.test_case "golden dnn search" `Quick test_golden_dnn_search;
+    Alcotest.test_case "golden tree winner not retrained" `Quick
+      test_golden_tree_winner;
+    Alcotest.test_case "golden dnn winner not retrained" `Quick
+      test_golden_dnn_winner;
   ]

@@ -52,15 +52,9 @@ let histories_equal a b =
 
 let filtered_history ~seed ~settings ~cm_settings ?pool () =
   let cm = Bo.Cost_model.create ~settings:cm_settings ~seed ~features () in
-  let on_iteration (_ : int) (e : Bo.History.entry) =
-    if not (Bo.Cost_model.is_predicted e.Bo.History.metadata) then
-      Bo.Cost_model.observe cm ~config:e.Bo.History.config
-        ~objective:e.Bo.History.objective ~feasible:e.Bo.History.feasible
-        ~pruned:e.Bo.History.pruned
-  in
   let history =
-    Bo.Optimizer.maximize (Rng.create seed) ~settings ?pool ~on_iteration
-      ~prefilter:(Bo.Cost_model.prefilter cm) space ~f:eval
+    Homunculus_check.Costmodel_eval.filtered_history ~seed ~settings ?pool cm
+      space ~f:eval
   in
   (history, cm)
 
@@ -250,16 +244,19 @@ let test_refit_cadence () =
      fitted a fraction of the times the classic loop fits it — and the run
      stays deterministic for the same settings. *)
   let run ~refit_every ~refit_threshold =
-    let refits = ref 0 in
     let settings =
       { (settings ~n_iter:16 ()) with Bo.Optimizer.refit_every; refit_threshold }
     in
-    let history =
-      Bo.Optimizer.maximize (Rng.create 11) ~settings
-        ~on_refit:(fun _ -> incr refits)
-        space ~f:eval
+    let opt = Bo.Optimizer.create (Rng.create 11) ~settings space in
+    let rec loop () =
+      match Bo.Optimizer.propose opt with
+      | [||] -> ()
+      | batch ->
+          Bo.Optimizer.tell opt (Array.map (fun (_, c) -> eval c) batch);
+          loop ()
     in
-    (history, !refits)
+    loop ();
+    (Bo.Optimizer.history opt, Bo.Optimizer.refits opt)
   in
   let h_every, n_every = run ~refit_every:1 ~refit_threshold:0 in
   let h_cadence, n_cadence = run ~refit_every:4 ~refit_threshold:10 in

@@ -273,6 +273,20 @@ let test_reaction_p95_is_a_sample () =
   in
   Alcotest.(check (float 0.)) "p95" 19. (Reaction.summarize reactions).Reaction.p95_seconds
 
+(* Nearest-rank median over verdict times 1 .. 4 s is the 2nd, 2 s; the
+   interpolated median of an even count (2.5 s) is a time no flow took. *)
+let test_reaction_median_is_a_sample () =
+  let reactions =
+    List.init 4 (fun i ->
+        {
+          Reaction.flow_id = i;
+          packets_to_verdict = Some 2;
+          seconds_to_verdict = Some (float_of_int (4 - i));
+        })
+  in
+  Alcotest.(check (float 0.)) "median" 2.
+    (Reaction.summarize reactions).Reaction.median_seconds
+
 let test_reaction_times_and_summary () =
   let rng = Rng.create 20 in
   let flows = Flowsim.generate rng () in
@@ -373,6 +387,8 @@ let suite =
     Alcotest.test_case "reaction curve" `Quick test_detection_curve_improves;
     Alcotest.test_case "reaction times" `Quick test_reaction_times_and_summary;
     Alcotest.test_case "reaction p95 is a sample" `Quick test_reaction_p95_is_a_sample;
+    Alcotest.test_case "reaction median is a sample" `Quick
+      test_reaction_median_is_a_sample;
     Alcotest.test_case "reaction debounce" `Quick test_reaction_confirm_debounces;
     Alcotest.test_case "hyperband budget" `Quick test_hyperband_budget_accounting;
     Alcotest.test_case "hyperband optimizes" `Quick test_hyperband_finds_good_point;
