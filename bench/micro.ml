@@ -138,6 +138,73 @@ let bench_forest_regressor_fit =
     (Staged.stage (fun () ->
          ignore (Ml.Random_forest.Regressor.fit (Rng.copy rng) ~n_trees:30 ~pool ~x ~y ())))
 
+(* One guided proposal on a 300-entry history shaped like compile_tree's:
+   two integer tree parameters, batch 2, a 200-candidate pool, 30-tree
+   surrogates on one domain. A proposal must be told before the next, so
+   every sample gets its own optimizer, built outside the timed region by
+   telling 300 warm-up proposals a synthetic objective (infeasible past
+   depth 8); the timed proposal is then the first guided round, and always
+   a refit. On the 144-configuration space compile_tree searches, 300
+   entries exhaust it: no candidate is new and the round builds no forest.
+   On the same parameters with wider ranges the pool still holds new
+   configurations, and the round builds and queries both forests. Timed by
+   hand, median of 15: bechamel runs a staged function many times on one
+   resource. *)
+let propose_guided_300 () =
+  let pool = Homunculus_par.Par.create ~jobs:1 () in
+  let settings =
+    {
+      Bo.Optimizer.default_settings with
+      Bo.Optimizer.n_init = 300;
+      n_iter = 2;
+      batch_size = 2;
+    }
+  in
+  let eval config =
+    let depth = Bo.Config.get_int config "max_depth" in
+    let leaf = Bo.Config.get_int config "min_samples_leaf" in
+    {
+      Bo.Optimizer.objective =
+        1. -. (1. /. float_of_int depth) -. (0.005 *. float_of_int leaf);
+      feasible = depth <= 8;
+      pruned = false;
+      metadata = [];
+    }
+  in
+  let warmed space =
+    let t = Bo.Optimizer.create (Rng.create 11) ~settings ~pool space in
+    while Bo.History.length (Bo.Optimizer.history t) < settings.Bo.Optimizer.n_init do
+      Bo.Optimizer.tell t (Array.map (fun (_, c) -> eval c) (Bo.Optimizer.propose t))
+    done;
+    t
+  in
+  let median_ns space =
+    Homunculus_util.Stats.median
+      (Array.init 15 (fun _ ->
+           let t = warmed space in
+           let t0 = Unix.gettimeofday () in
+           ignore (Sys.opaque_identity (Bo.Optimizer.propose t));
+           1e9 *. (Unix.gettimeofday () -. t0)))
+  in
+  let tree_space =
+    Homunculus_core.Space_builder.build (Platform.tofino ()) Model_spec.Tree
+      ~input_dim:7
+  in
+  let wide_space =
+    Bo.Design_space.create
+      [
+        Bo.Param.int "max_depth" ~lo:2 ~hi:40;
+        Bo.Param.int "min_samples_leaf" ~lo:1 ~hi:64;
+      ]
+  in
+  List.iter
+    (fun (name, space) ->
+      Printf.printf "%-40s %12.1f ns/run\n"
+        ("homunculus bo/propose-guided-300/" ^ name)
+        (median_ns space))
+    [ ("fresh-pool", wide_space); ("exhausted", tree_space) ];
+  Homunculus_par.Par.shutdown pool
+
 (* Backend generators. *)
 let bench_spatial_codegen =
   Test.make ~name:"codegen/spatial-dnn"
@@ -182,4 +249,5 @@ let run () =
             | Some [ est ] -> Printf.printf "%-40s %12.1f ns/run\n" name est
             | Some _ | None -> Printf.printf "%-40s (no estimate)\n" name)
           tbl)
-    results
+    results;
+  propose_guided_300 ()

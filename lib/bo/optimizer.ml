@@ -78,7 +78,10 @@ type t = {
   par : Par.pool;
   space : Design_space.t;
   history : History.t;
-  mutable fitted : (Surrogate.t * Feasibility.t * int) option;
+  (* The surrogate pair of the last refit and the history length it saw.
+     Its RNG streams were drawn at that refit; its trees are built the
+     first time a round needs a score. *)
+  mutable fitted : (Surrogate.t Lazy.t * Feasibility.t Lazy.t * int) option;
   mutable refits : int;
   mutable pending : Config.t array option;  (* proposed, not yet told *)
 }
@@ -118,9 +121,10 @@ let propose_warmup t k =
    batched run spends the same evaluation budget over [n_iter / batch_size]
    refits — and once the history outgrows [refit_threshold], the surrogate
    pair is additionally reused until [refit_every] fresh evaluations have
-   accumulated, amortizing forest fits over several rounds. Reused rounds
-   consume no RNG for fitting; determinism is per (seed, settings), as
-   always. *)
+   accumulated, amortizing forest fits over several rounds. A refit round
+   draws the pair's per-tree streams from [rng] at once, so the stream is
+   the same whether or not the trees are ever built; reused rounds consume
+   no RNG for fitting. Determinism is per (seed, settings), as always. *)
 let propose_guided t k =
   let { rng; settings; par; space; history; _ } = t in
   let len = History.length history in
@@ -142,13 +146,13 @@ let propose_guided t k =
           feasible_flags;
         let sel = Array.of_list (List.rev !keep) in
         let s =
-          Surrogate.fit rng ~n_trees:settings.surrogate_trees ~pool:par
+          Surrogate.fit_deferred rng ~n_trees:settings.surrogate_trees ~pool:par
             ~x:(Array.map (fun i -> x.(i)) sel)
             ~y:(Array.map (fun i -> y.(i)) sel)
             ()
         in
         let fm =
-          Feasibility.fit rng ~n_trees:settings.surrogate_trees ~pool:par ~x
+          Feasibility.fit_deferred rng ~n_trees:settings.surrogate_trees ~pool:par ~x
             ~feasible:feasible_flags ()
         in
         t.refits <- t.refits + 1;
@@ -177,23 +181,29 @@ let propose_guided t k =
             Design_space.neighbor rng space e.History.config
         | Some _ | None -> Design_space.sample rng space)
   in
-  (* Scoring is pure: fan it out over the pool. *)
-  let scores =
-    Par.parallel_map ~pool:par
-      (fun candidate ->
-        if History.mem_config history candidate then neg_infinity
-        else begin
-          let point = Design_space.encode space candidate in
+  (* Only a configuration not yet evaluated gets a score; duplicates stay at
+     -inf. The trees are built only when some candidate needs a score: once
+     a small discrete space is exhausted, every pool candidate is a
+     duplicate and the round builds no forest at all. Forcing happens here,
+     on the calling domain, because a lazy value forced from two domains at
+     once raises. Scoring is pure, so it fans out over the pool. *)
+  let fresh = Array.map (fun c -> not (History.mem_config history c)) candidates in
+  let scores = Array.make settings.pool_size neg_infinity in
+  if Array.exists Fun.id fresh then begin
+    let surrogate = Lazy.force surrogate and feas_model = Lazy.force feas_model in
+    Par.parallel_for ~pool:par ~lo:0 ~hi:settings.pool_size (fun i ->
+        if fresh.(i) then begin
+          let point = Design_space.encode space candidates.(i) in
           let mean, std = Surrogate.predict surrogate point in
           let ei =
             Acquisition.expected_improvement ~mean ~std ~best:best_value
           in
           let p_feas = Feasibility.prob_feasible feas_model point in
-          if ei = infinity then p_feas (* no incumbent: chase feasibility *)
-          else ei *. p_feas
+          scores.(i) <-
+            (if ei = infinity then p_feas (* no incumbent: chase feasibility *)
+             else ei *. p_feas)
         end)
-      candidates
-  in
+  end;
   (* Constant-liar batch proposal: pick the top-scoring candidate, then
      pretend it was already evaluated at the incumbent's value (the CL-max
      lie) and pick again. The lie leaves [best_value] — and hence every

@@ -84,6 +84,11 @@ val propose : t -> (int * Config.t) array
     0-based position its evaluation will occupy in the history. Warm-up
     batches are uniform samples; guided batches come from one surrogate fit
     (or a reused one, per the refit cadence) by constant-liar selection.
+    A refit round draws the surrogate pair's RNG streams at once, but builds
+    the forests only when a candidate of the pool needs a score, that is,
+    when some candidate has not been evaluated yet; a round whose pool holds
+    only evaluated configurations builds none. The history is the same as
+    if every refit were built eagerly.
     Duplicates of evaluated or batch-mate configurations are replaced by
     fresh uniform samples when possible. Returns [[||]] once
     [n_init + n_iter] configurations have been proposed.
@@ -98,8 +103,9 @@ val history : t -> History.t
 (** Everything told so far, in proposal order. *)
 
 val refits : t -> int
-(** How many times the surrogate pair has actually been fitted — the
-    refit-cadence benches count these. *)
+(** How many refit rounds there have been — rounds that drew a new
+    surrogate pair rather than reusing one, whether or not its forests were
+    then built. The refit-cadence benches count these. *)
 
 val maximize :
   Homunculus_util.Rng.t ->

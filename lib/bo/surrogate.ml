@@ -8,9 +8,12 @@ module Rf = Homunculus_ml.Random_forest.Regressor
    the non-degenerate run shape. *)
 type t = Constant | Forest of Rf.t
 
-let fit rng ?(n_trees = 30) ?pool ~x ~y () =
-  if Array.length x = 0 then Constant
-  else Forest (Rf.fit rng ~n_trees ?pool ~x ~y ())
+let fit_deferred rng ?(n_trees = 30) ?pool ~x ~y () =
+  if Array.length x = 0 then Lazy.from_val Constant
+  else Lazy.map (fun f -> Forest f) (Rf.fit_deferred rng ~n_trees ?pool ~x ~y ())
+
+let fit rng ?n_trees ?pool ~x ~y () =
+  Lazy.force (fit_deferred rng ?n_trees ?pool ~x ~y ())
 
 let predict t point =
   match t with

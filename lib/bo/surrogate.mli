@@ -23,5 +23,20 @@ val fit :
     before a feasible incumbent exists, so the constant is never
     load-bearing. *)
 
+val fit_deferred :
+  Homunculus_util.Rng.t ->
+  ?n_trees:int ->
+  ?pool:Homunculus_par.Par.pool ->
+  x:float array array ->
+  y:float array ->
+  unit ->
+  t Lazy.t
+(** {!fit} in two steps: the per-tree RNG streams are drawn from [rng] now,
+    as {!fit} draws them (none for the constant predictor), and the forest
+    is built when the result is forced. [fit] is [Lazy.force] of this. The
+    optimizer uses it to draw a refit's streams at the refit round and build
+    the trees only if some candidate needs a score. Force on one domain
+    only: a [Lazy.t] forced from two domains at once raises. *)
+
 val predict : t -> float array -> float * float
 (** Mean and standard deviation of the objective at an encoded point. *)

@@ -7,15 +7,18 @@ let bootstrap rng n = Array.init n (fun _ -> Rng.int rng n)
 (* Trees are embarrassingly parallel: pre-split one RNG stream per tree (in
    index order, off the caller's generator) and fit the forest on the domain
    pool. Tree [i] sees the same stream at any worker count, so the fitted
-   forest is identical whether the pool has 1 or N domains. *)
+   forest is identical whether the pool has 1 or N domains. The split happens
+   now and the fitting when the result is forced, so a caller can draw a
+   forest's streams at one point of its RNG sequence and pay for the trees
+   only if it ends up needing them. *)
 let fit_trees ?pool rng n_trees fit_one =
   let rngs = Rng.split_n rng n_trees in
-  Par.parallel_map ?pool fit_one rngs
+  lazy (Par.parallel_map ?pool fit_one rngs)
 
 module Classifier = struct
   type t = { trees : Decision_tree.Classifier.t array; n_classes : int }
 
-  let fit rng ?(n_trees = 30) ?params ?pool ~x ~y ~n_classes () =
+  let fit_deferred rng ?(n_trees = 30) ?params ?pool ~x ~y ~n_classes () =
     let n = Array.length x in
     if n = 0 then invalid_arg "Random_forest.Classifier.fit: empty input";
     let n_features = Array.length x.(0) in
@@ -28,14 +31,15 @@ module Classifier = struct
             m_try = Some (Stdlib.max 1 (int_of_float (sqrt (float_of_int n_features))));
           }
     in
-    let trees =
-      fit_trees ?pool rng n_trees (fun rng ->
-          let idx = bootstrap rng n in
-          let bx = Array.map (fun i -> x.(i)) idx in
-          let by = Array.map (fun i -> y.(i)) idx in
-          Decision_tree.Classifier.fit ~rng ~params ~x:bx ~y:by ~n_classes ())
-    in
-    { trees; n_classes }
+    fit_trees ?pool rng n_trees (fun rng ->
+        let idx = bootstrap rng n in
+        let bx = Array.map (fun i -> x.(i)) idx in
+        let by = Array.map (fun i -> y.(i)) idx in
+        Decision_tree.Classifier.fit ~rng ~params ~x:bx ~y:by ~n_classes ())
+    |> Lazy.map (fun trees -> { trees; n_classes })
+
+  let fit rng ?n_trees ?params ?pool ~x ~y ~n_classes () =
+    Lazy.force (fit_deferred rng ?n_trees ?params ?pool ~x ~y ~n_classes ())
 
   let predict_proba t sample =
     let acc = Array.make t.n_classes 0. in
@@ -55,7 +59,7 @@ end
 module Regressor = struct
   type t = { trees : Decision_tree.Regressor.t array }
 
-  let fit rng ?(n_trees = 30) ?params ?pool ~x ~y () =
+  let fit_deferred rng ?(n_trees = 30) ?params ?pool ~x ~y () =
     let n = Array.length x in
     if n = 0 then invalid_arg "Random_forest.Regressor.fit: empty input";
     let n_features = Array.length x.(0) in
@@ -68,14 +72,15 @@ module Regressor = struct
             m_try = Some (Stdlib.max 1 (n_features / 3));
           }
     in
-    let trees =
-      fit_trees ?pool rng n_trees (fun rng ->
-          let idx = bootstrap rng n in
-          let bx = Array.map (fun i -> x.(i)) idx in
-          let by = Array.map (fun i -> y.(i)) idx in
-          Decision_tree.Regressor.fit ~rng ~params ~x:bx ~y:by ())
-    in
-    { trees }
+    fit_trees ?pool rng n_trees (fun rng ->
+        let idx = bootstrap rng n in
+        let bx = Array.map (fun i -> x.(i)) idx in
+        let by = Array.map (fun i -> y.(i)) idx in
+        Decision_tree.Regressor.fit ~rng ~params ~x:bx ~y:by ())
+    |> Lazy.map (fun trees -> { trees })
+
+  let fit rng ?n_trees ?params ?pool ~x ~y () =
+    Lazy.force (fit_deferred rng ?n_trees ?params ?pool ~x ~y ())
 
   let per_tree t sample =
     Array.map (fun tree -> Decision_tree.Regressor.predict tree sample) t.trees

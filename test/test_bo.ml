@@ -447,13 +447,12 @@ let test_optimizer_respects_feasibility () =
 
 (* A hand-written ask/tell driver: evaluate each proposed batch
    sequentially on this domain, tell, and call [after] once it is told. *)
-let drive_propose_tell ?(after = fun _ -> ()) opt =
+let drive_propose_tell ?(after = fun _ -> ()) ?(eval = quadratic_eval) opt =
   let rec loop () =
     match Bo.Optimizer.propose opt with
     | [||] -> ()
     | batch ->
-        Bo.Optimizer.tell opt
-          (Array.map (fun (_, config) -> quadratic_eval config) batch);
+        Bo.Optimizer.tell opt (Array.map (fun (_, config) -> eval config) batch);
         after batch;
         loop ()
   in
@@ -563,7 +562,7 @@ let small_settings ~batch_size ~refit_every =
    [propose], so the two commit the same history bit for bit. *)
 let prop_propose_tell_matches_maximize =
   QCheck.Test.make ~name:"propose/tell loop commits maximize's history"
-    ~count:20
+    ~count:20 ~long_factor:10
     QCheck.(triple (int_bound 1_000_000) (int_range 1 3) (oneofl [ 1; 4 ]))
     (fun (seed, batch_size, refit_every) ->
       let settings = small_settings ~batch_size ~refit_every in
@@ -616,6 +615,92 @@ let test_propose_after_budget_is_empty () =
     (Array.length (Bo.Optimizer.propose opt));
   Alcotest.(check int) "and stays empty" 0
     (Array.length (Bo.Optimizer.propose opt))
+
+(* Exhausted-space pin. Twelve configurations and a budget of forty: from
+   about the twelfth entry on, every candidate pool holds only evaluated
+   configurations, so guided rounds score nothing and propose fresh
+   uniform samples (duplicates, once nothing new is left). The digest
+   covers 30 propose/tell runs — seeds 1..5, batch sizes 1..3, refit every
+   round or every fourth evaluation — and their refit counts. It was
+   recorded with surrogate pairs built eagerly at every refit, before
+   refits were deferred until a candidate needs a score. *)
+let tiny_space =
+  Bo.Design_space.create
+    [
+      Bo.Param.int "depth" ~lo:1 ~hi:4;
+      Bo.Param.categorical "split" [| "gini"; "entropy"; "random" |];
+    ]
+
+let tiny_eval config =
+  let depth = Bo.Config.get_int config "depth" in
+  let split = Bo.Config.get_index config "split" in
+  {
+    Bo.Optimizer.objective =
+      (float_of_int depth /. 4.) +. [| 0.3; 0.2; 0. |].(split);
+    feasible = not (depth = 4 && split = 2);
+    pruned = false;
+    metadata = [];
+  }
+
+let exhausted_space_run ~seed ~batch_size ~refit_every =
+  let settings =
+    {
+      Bo.Optimizer.default_settings with
+      Bo.Optimizer.n_init = 4;
+      n_iter = 36;
+      pool_size = 20;
+      surrogate_trees = 5;
+      batch_size;
+      refit_every;
+      refit_threshold = 6;
+    }
+  in
+  let opt = Bo.Optimizer.create (Rng.create seed) ~settings tiny_space in
+  drive_propose_tell ~eval:tiny_eval opt;
+  opt
+
+let test_exhausted_space_golden () =
+  let runs =
+    List.concat_map
+      (fun seed ->
+        List.concat_map
+          (fun batch_size ->
+            List.map
+              (fun refit_every ->
+                exhausted_space_run ~seed ~batch_size ~refit_every)
+              [ 1; 4 ])
+          [ 1; 2; 3 ])
+      [ 1; 2; 3; 4; 5 ]
+  in
+  List.iter
+    (fun opt ->
+      let h = Bo.Optimizer.history opt in
+      let distinct =
+        List.sort_uniq compare
+          (List.map
+             (fun (e : Bo.History.entry) -> Bo.Config.to_string e.Bo.History.config)
+             (Bo.History.entries h))
+      in
+      Alcotest.(check int) "budget spent" 40 (Bo.History.length h);
+      Alcotest.(check int) "space exhausted" 12 (List.length distinct))
+    runs;
+  let digest =
+    List.map
+      (fun opt ->
+        Printf.sprintf "refits=%d\n%s" (Bo.Optimizer.refits opt)
+          (String.concat "\n"
+             (List.map
+                (fun (e : Bo.History.entry) ->
+                  Printf.sprintf "%s|%h|%b|%b"
+                    (Bo.Config.to_string e.Bo.History.config)
+                    e.Bo.History.objective e.Bo.History.feasible
+                    e.Bo.History.pruned)
+                (Bo.History.entries (Bo.Optimizer.history opt)))))
+      runs
+    |> String.concat "\n--\n" |> Digest.string |> Digest.to_hex
+  in
+  Alcotest.(check string) "combined history digest"
+    "6d05deadd70aa033ce887327f05e83a7" digest
 
 let test_random_search_budget () =
   let count = ref 0 in
@@ -685,4 +770,6 @@ let suite =
       test_propose_tell_misuse_raises;
     Alcotest.test_case "propose after budget is empty" `Quick
       test_propose_after_budget_is_empty;
+    Alcotest.test_case "exhausted space golden" `Quick
+      test_exhausted_space_golden;
   ]

@@ -242,6 +242,35 @@ let test_forest_deterministic_given_seed () =
   let p2 = Array.map (Random_forest.Classifier.predict f2) x in
   Alcotest.(check (array int)) "same predictions" p1 p2
 
+(* A deferred fit splits its per-tree streams off the caller's generator at
+   the call, as [fit] does, so the caller's stream is left exactly where an
+   eager fit leaves it, and draws made before the force do not reach the
+   trees. *)
+let test_forest_deferred_fit_matches_eager () =
+  let x = Array.init 60 (fun i -> [| float_of_int i /. 6.; float_of_int (i mod 7) |]) in
+  let y = Array.map (fun r -> sin r.(0) +. r.(1)) x in
+  let labels = Array.map (fun r -> if r.(1) > 3. then 1 else 0) x in
+  let eager_rng = Rng.create 21 and deferred_rng = Rng.create 21 in
+  let reg = Random_forest.Regressor.fit eager_rng ~n_trees:6 ~x ~y () in
+  let cls = Random_forest.Classifier.fit eager_rng ~n_trees:6 ~x ~y:labels ~n_classes:2 () in
+  let reg' = Random_forest.Regressor.fit_deferred deferred_rng ~n_trees:6 ~x ~y () in
+  let cls' =
+    Random_forest.Classifier.fit_deferred deferred_rng ~n_trees:6 ~x ~y:labels
+      ~n_classes:2 ()
+  in
+  Alcotest.(check int64) "caller's stream left in step" (Rng.int64 eager_rng)
+    (Rng.int64 deferred_rng);
+  let reg' = Lazy.force reg' and cls' = Lazy.force cls' in
+  Array.iter
+    (fun point ->
+      Alcotest.(check (pair (float 0.) (float 0.))) "same regressor"
+        (Random_forest.Regressor.predict_with_std reg point)
+        (Random_forest.Regressor.predict_with_std reg' point);
+      Alcotest.(check (array (float 0.))) "same classifier"
+        (Random_forest.Classifier.predict_proba cls point)
+        (Random_forest.Classifier.predict_proba cls' point))
+    x
+
 let suite =
   [
     Alcotest.test_case "kmeans recovers blobs" `Quick test_kmeans_recovers_blobs;
@@ -267,4 +296,6 @@ let suite =
     Alcotest.test_case "forest regressor" `Quick test_forest_regressor_interpolates;
     Alcotest.test_case "forest uncertainty" `Quick test_forest_regressor_uncertainty;
     Alcotest.test_case "forest deterministic" `Quick test_forest_deterministic_given_seed;
+    Alcotest.test_case "forest deferred fit matches eager" `Quick
+      test_forest_deferred_fit_matches_eager;
   ]

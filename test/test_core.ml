@@ -481,12 +481,14 @@ let pinned_search ~name ~algorithm ~data ~n_init ~budget platform =
   in
   (spec, options, platform)
 
-let golden_tree () =
+let tree_search ~n_init ~budget =
   pinned_search ~name:"traffic_classification" ~algorithm:Model_spec.Tree
     ~data:(fun () ->
       ( Homunculus_netdata.Iot.generate (Rng.create 7) ~n:300 (),
         Homunculus_netdata.Iot.generate (Rng.create 8) ~n:150 () ))
-    ~n_init:10 ~budget:40 (Platform.tofino ())
+    ~n_init ~budget (Platform.tofino ())
+
+let golden_tree () = tree_search ~n_init:10 ~budget:40
 
 let golden_dnn () =
   pinned_search ~name:"anomaly_detection" ~algorithm:Model_spec.Dnn
@@ -505,6 +507,25 @@ let test_golden_tree_search () =
 let test_golden_dnn_search () =
   Alcotest.(check string) "history digest" "f77f495102b3af39ee52a0157a72a15a"
     (golden_digest (golden_dnn ()))
+
+(* The same pin at the compile_tree benchmark's shape: the TC tree space on
+   Tofino holds 144 configurations, so a 300-evaluation search exhausts it
+   about halfway and spends its second half in rounds whose candidate pools
+   hold only evaluated configurations. Recorded with surrogate pairs built
+   eagerly at every refit. *)
+let test_exhausted_tree_search () =
+  let spec, options, platform = tree_search ~n_init:75 ~budget:300 in
+  let history = (Compiler.search_model ~options platform spec).Compiler.history in
+  let distinct =
+    List.sort_uniq compare
+      (List.map
+         (fun (e : Bo.History.entry) -> Bo.Config.to_string e.Bo.History.config)
+         (Bo.History.entries history))
+  in
+  Alcotest.(check int) "budget spent" 300 (Bo.History.length history);
+  Alcotest.(check int) "space exhausted" 144 (List.length distinct);
+  Alcotest.(check string) "history digest" "e37f9bdcd0ee6d241fd5e1a4de15caf2"
+    (history_digest history)
 
 (* One winner path: a plain search keeps the artifact of its best history
    entry as batches are committed, so the evaluator runs exactly once per
@@ -604,6 +625,7 @@ let suite =
     Alcotest.test_case "report regret monotone" `Quick test_report_regret_series_monotone;
     Alcotest.test_case "golden tree search" `Quick test_golden_tree_search;
     Alcotest.test_case "golden dnn search" `Quick test_golden_dnn_search;
+    Alcotest.test_case "exhausted tree search" `Quick test_exhausted_tree_search;
     Alcotest.test_case "golden tree winner not retrained" `Quick
       test_golden_tree_winner;
     Alcotest.test_case "golden dnn winner not retrained" `Quick
