@@ -13,8 +13,11 @@
     {e feasible-winner veto} is a contract violation: a skipped candidate
     that turns out both feasible and better than the filtered search's
     winner means the filter discarded the artifact the user should have
-    received. A healthy corpus reports [feasible_winner_vetoes = 0] and
-    [winner_matched = true]. *)
+    received. A healthy corpus reports [feasible_winner_vetoes = 0], and
+    [winner_matched = true] whenever [mispredicted_feasible = 0]: a
+    mispredicted skip commits an infeasible entry where a feasible one
+    belongs, so the filtered search proposes differently from then on and
+    may end on another, equally un-vetoed winner. *)
 
 module Bo = Homunculus_bo
 

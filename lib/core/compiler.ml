@@ -108,6 +108,21 @@ let evaluate_exact ~supervisor ~scope ~build ~score (index, config) =
   in
   (!built, eval)
 
+module Config_table = Hashtbl.Make (struct
+  type t = Bo.Config.t
+
+  let equal = Bo.Config.equal
+  let hash = Bo.Config.hash
+end)
+
+(* Predicted commits and failure-tagged entries are not measurements: the
+   former were never evaluated, the latter's infeasibility is a training
+   accident (divergence, timeout), not a property of the architecture. *)
+let exact metadata =
+  not
+    (Bo.Cost_model.is_predicted metadata
+    || List.mem_assoc Supervisor.failure_key metadata)
+
 (* The compile driver: one propose -> judge -> evaluate -> tell loop shared
    by every search. Each round runs on the calling domain, in this order:
    the wall-clock deadline and the ASHA freeze; the pre-filter's judgement
@@ -120,13 +135,23 @@ let evaluate_exact ~supervisor ~scope ~build ~score (index, config) =
    are journaled), so a budget abort leaves the journal holding only
    completed evaluations — exactly what a warm restart wants to replay.
 
-   The winner is [History.best_entry], whose order mirrors
-   [Evaluator.compare_artifacts]. Its artifact is kept, as each batch is
-   told, when this process built it; a replayed or dispatched winner is
-   rebuilt from its config-derived seed. A failure-tagged winner has no
-   artifact — rebuilding would just fail again — and a predicted-infeasible
-   winner was never evaluated: the final artifact is never chosen on a
-   prediction. *)
+   Each configuration is trained once. [build] seeds an evaluation from its
+   configuration, so a survivor whose configuration already has an exact
+   evaluation in this search — from an earlier round or earlier in its own
+   batch — commits that evaluation and trains nothing. Two kinds of search
+   train every survivor instead. Under a supervisor, every index must pass
+   through [Supervisor.supervise]: faults are keyed by index, the journal
+   holds one record per index, and replay counts one per history entry.
+   Under ASHA, a repeat could be pruned against another frozen rung
+   threshold than the first copy was.
+
+   The winner is [History.best_entry]. Its artifact is kept, as each batch
+   is told, when this process built it; a repeat carries no artifact, but
+   it ties its first copy, which keeps the lead. A replayed or dispatched
+   winner is rebuilt from its config-derived seed. A failure-tagged winner
+   has no artifact — rebuilding would just fail again — and a
+   predicted-infeasible winner was never evaluated: the final artifact is
+   never chosen on a prediction. *)
 let drive ~deadline ~sched ~supervisor ~cm ~dispatch ~scope opt ~build ~score =
   let history = Bo.Optimizer.history opt in
   (* Replayed candidates bypass the filter entirely — the supervisor returns
@@ -146,17 +171,64 @@ let drive ~deadline ~sched ~supervisor ~cm ~dispatch ~scope opt ~build ~score =
         | (Some _ | None), _ -> ());
         verdict
   in
-  (* Predicted commits and failure-tagged entries are not observations: the
-     former were never measured, the latter's infeasibility is a training
-     accident (divergence, timeout), not a property of the architecture. *)
   let observe cm (_, config) (_, (e : Bo.Optimizer.evaluation)) =
-    if
-      not
-        (Bo.Cost_model.is_predicted e.Bo.Optimizer.metadata
-        || List.mem_assoc Supervisor.failure_key e.Bo.Optimizer.metadata)
-    then
+    if exact e.Bo.Optimizer.metadata then
       Bo.Cost_model.observe cm ~config ~objective:e.Bo.Optimizer.objective
         ~feasible:e.Bo.Optimizer.feasible ~pruned:e.Bo.Optimizer.pruned
+  in
+  let evaluate survivors =
+    match dispatch with
+    | None ->
+        Par.parallel_map ~chunk:1
+          (evaluate_exact ~supervisor ~scope ~build ~score)
+          survivors
+    | Some send ->
+        let evals = send survivors in
+        if Array.length evals <> Array.length survivors then
+          invalid_arg "Compiler: dispatch returned wrong arity";
+        Array.map (fun e -> (None, e)) evals
+  in
+  (* This search's exact evaluations, by configuration. Each pass evaluates
+     the first open copy of every configuration the memo lacks; the next
+     pass resolves the copies after it. A copy stays open only when its
+     first copy came back failure-tagged from a dispatched worker, and then
+     is evaluated in a pass of its own, as it would have been alone. *)
+  let memo =
+    match (sched, supervisor) with
+    | None, None -> Some (Config_table.create 64)
+    | (Some _ | None), _ -> None
+  in
+  let evaluate_distinct memo survivors =
+    let results = Array.make (Array.length survivors) None in
+    let rec pass () =
+      let fresh = ref [] in
+      Array.iteri
+        (fun i (_, config) ->
+          if Option.is_none results.(i) then
+            match Config_table.find_opt memo config with
+            | Some e -> results.(i) <- Some (None, e)
+            | None ->
+                if
+                  not
+                    (List.exists
+                       (fun j -> Bo.Config.equal (snd survivors.(j)) config)
+                       !fresh)
+                then fresh := i :: !fresh)
+        survivors;
+      match Array.of_list (List.rev !fresh) with
+      | [||] -> Array.map Option.get results
+      | fresh ->
+          let evals = evaluate (Array.map (Array.get survivors) fresh) in
+          Array.iteri
+            (fun k i ->
+              let ((_, e) as r) = evals.(k) in
+              results.(i) <- Some r;
+              if exact e.Bo.Optimizer.metadata then
+                Config_table.replace memo (snd survivors.(i)) e)
+            fresh;
+          pass ()
+    in
+    pass ()
   in
   (* The best entry told so far, with its artifact when this process built
      it: [History.best_entry]'s own fold, advanced one batch at a time. *)
@@ -175,16 +247,9 @@ let drive ~deadline ~sched ~supervisor ~cm ~dispatch ~scope opt ~build ~score =
           |> Array.of_list
         in
         let results =
-          match dispatch with
-          | None ->
-              Par.parallel_map ~chunk:1
-                (evaluate_exact ~supervisor ~scope ~build ~score)
-                survivors
-          | Some send ->
-              let evals = send survivors in
-              if Array.length evals <> Array.length survivors then
-                invalid_arg "Compiler: dispatch returned wrong arity";
-              Array.map (fun e -> (None, e)) evals
+          match memo with
+          | None -> evaluate survivors
+          | Some memo -> evaluate_distinct memo survivors
         in
         let next = ref (-1) in
         let committed =
@@ -209,10 +274,7 @@ let drive ~deadline ~sched ~supervisor ~cm ~dispatch ~scope opt ~build ~score =
   round ();
   match Bo.History.best_entry history with
   | None -> None
-  | Some e
-    when List.mem_assoc Supervisor.failure_key e.Bo.History.metadata
-         || Bo.Cost_model.is_predicted e.Bo.History.metadata ->
-      None
+  | Some e when not (exact e.Bo.History.metadata) -> None
   | Some e -> (
       match !best with
       | Some (b, Some a) when b.Bo.History.iteration = e.Bo.History.iteration ->
@@ -310,12 +372,19 @@ let search_model ?(options = default_options) platform spec =
         | Some a, Some b -> Some (Bo.Cost_model.merge_stats a b))
       None runs
   in
+  (* Each run's winner is its history's best entry, and the runs are ranked
+     by those entries in the same order; an earlier algorithm keeps a tie.
+     A run whose best entry has no artifact (failure-tagged or predicted)
+     cannot win. *)
   let best =
     List.fold_left
-      (fun acc (_, candidate, _, _) ->
-        match candidate with
-        | Some c -> Evaluator.better_artifact acc c
-        | None -> acc)
+      (fun acc (_, artifact, history, _) ->
+        match (artifact, Bo.History.best_entry history, acc) with
+        | None, _, _ | _, None, _ -> acc
+        | Some _, Some e, Some (b, _, _)
+          when Bo.History.compare_entries e b >= 0 ->
+            acc
+        | Some artifact, Some e, _ -> Some (e, artifact, history))
       None runs
   in
   match best with
@@ -323,28 +392,20 @@ let search_model ?(options = default_options) platform spec =
       raise
         (No_feasible_model
            (Printf.sprintf "%s: search produced no models" (Model_spec.name spec)))
-  | Some artifact when not artifact.Evaluator.verdict.Resource.feasible ->
+  | Some (_, artifact, _) when not artifact.Evaluator.verdict.Resource.feasible ->
       raise
         (No_feasible_model
            (Printf.sprintf "%s: no configuration met the constraints (best %s)"
               (Model_spec.name spec)
               (Option.value artifact.Evaluator.verdict.Resource.rejection
                  ~default:"unknown rejection")))
-  | Some artifact ->
+  | Some (_, artifact, winning_history) ->
       Log.info (fun m ->
           m "%s: best %s, objective %.4f, %s" (Model_spec.name spec)
             (Model_spec.algorithm_to_string artifact.Evaluator.algorithm)
             artifact.Evaluator.objective
             (if artifact.Evaluator.verdict.Resource.feasible then "feasible"
              else "INFEASIBLE"));
-      let winning_history =
-        List.find_map
-          (fun (algorithm, _, history, _) ->
-            if algorithm = artifact.Evaluator.algorithm then Some history
-            else None)
-          runs
-        |> Option.get
-      in
       {
         spec;
         artifact;

@@ -29,8 +29,9 @@ type options = {
           successive-halving rung scheduler: weak configurations stop at a
           fraction of their epoch budget and enter the BO history as pruned
           partial observations. Deterministic for a fixed seed at any worker
-          count (see {!Bo.Asha}). [None] trains every candidate to its full
-          budget. *)
+          count (see {!Bo.Asha}). Every proposal trains, repeats included:
+          a repeat could meet another rung threshold. [None] trains every
+          candidate to its full budget. *)
   supervisor : Homunculus_resilience.Supervisor.t option;
       (** when set, every candidate evaluation runs under the fault
           supervisor: trainer divergence, backend exceptions, and budget
@@ -40,8 +41,12 @@ type options = {
           replay without re-training (deterministic resume). The winning
           artifact is then selected from the history
           ({!Bo.History.best_entry}) and rebuilt from its config-derived
-          seed if the evaluation was replayed. [None] lets exceptions
-          propagate, as before. *)
+          seed if the evaluation was replayed. Every proposal passes through
+          the supervisor, repeats included, so faults, journal records and
+          replay hits stay one per history entry. [None] lets exceptions
+          propagate, and a proposal whose configuration already has an
+          exact evaluation in this search (unpruned) commits that
+          evaluation instead of training again. *)
   cost_model : Bo.Cost_model.settings option;
       (** when set, every per-algorithm search runs behind a learned
           feasibility/cost pre-filter ({!Bo.Cost_model}) trained online on
@@ -65,12 +70,14 @@ type options = {
     option;
       (** when set, every batch of exact evaluations is handed to this hook
           (the distributed coordinator) instead of the in-process pool; the
-          hook returns the evaluations in batch order. The winning artifact
-          is then picked from the history and rebuilt locally, as on a
-          resumed search. Incompatible with [prune] (ASHA's per-batch rung
-          thresholds are process-local state) — {!search_model} raises
-          [Invalid_argument] on the combination. [None] evaluates
-          in-process, as before. *)
+          hook returns the evaluations in batch order. Without a
+          supervisor, a configuration with an exact evaluation in this
+          search is not handed out again; a failure-tagged result is not
+          reused. The winning artifact is then picked from the history and
+          rebuilt locally, as on a resumed search. Incompatible with
+          [prune] (ASHA's per-batch rung thresholds are process-local
+          state) — {!search_model} raises [Invalid_argument] on the
+          combination. [None] evaluates in-process, as before. *)
 }
 
 val default_options : options

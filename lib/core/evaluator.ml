@@ -314,34 +314,6 @@ let features_of_candidate platform algorithm ~input_dim ~n_classes config =
      ]
     @ usage_features)
 
-let compare_artifacts a b =
-  (* Total order: feasible before infeasible, then fully trained before
-     pruned (a pruned artifact's objective is a partial-budget metric, not
-     comparable with a full run's), then higher objective, then the
-     lexicographically smaller configuration. Totality is what makes a
-     running maximum independent of evaluation order, which the parallel
-     search relies on for determinism. *)
-  let fc =
-    Bool.compare b.verdict.Resource.feasible a.verdict.Resource.feasible
-  in
-  if fc <> 0 then fc
-  else
-    let pc = Bool.compare a.pruned b.pruned in
-    if pc <> 0 then pc
-    else
-      let oc = Float.compare b.objective a.objective in
-      if oc <> 0 then oc
-      else
-        String.compare
-          (Bo.Config.to_string a.config)
-          (Bo.Config.to_string b.config)
-
-let better_artifact current candidate =
-  match current with
-  | None -> Some candidate
-  | Some best ->
-      if compare_artifacts candidate best < 0 then Some candidate else Some best
-
 let to_bo_evaluation artifact =
   let usage_meta =
     List.map

@@ -87,18 +87,6 @@ val features_of_candidate :
     for a fixed (platform, algorithm, dataset); deterministic; does not
     touch {!Timing}. Callers typically prepend the design-space encoding. *)
 
-val compare_artifacts : artifact -> artifact -> int
-(** Total order used to rank search results: feasible before infeasible,
-    then fully trained before pruned, then higher objective, then the
-    lexicographically smaller configuration string. Because the order is
-    total, folding {!better_artifact} over a set of artifacts yields the
-    same winner in any order — the parallel search depends on this for
-    determinism. *)
-
-val better_artifact : artifact option -> artifact -> artifact option
-(** [better_artifact current candidate] keeps the higher-ranked of the two
-    under {!compare_artifacts}. *)
-
 val to_bo_evaluation : artifact -> Homunculus_bo.Optimizer.evaluation
 (** Objective + feasibility + pruned flag + backend measurements as metadata
     ("params", "latency_ns", "throughput_gpps", "epochs_trained", plus

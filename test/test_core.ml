@@ -383,36 +383,43 @@ let test_evaluator_deterministic_per_config () =
   Alcotest.(check (float 0.)) "same objective" a.Evaluator.objective
     b.Evaluator.objective
 
-(* Regression: an artifact whose objective came back NaN (degenerate metric)
-   must rank strictly below every real-valued artifact — feasible or not —
-   and must never displace an incumbent through the running-best fold. *)
-let test_compare_artifacts_nan_ranks_last () =
-  let platform = Platform.taurus () in
-  let spec = blob_spec () in
+(* Regression: an entry whose objective came back NaN (degenerate metric)
+   must rank strictly below every real-valued entry — feasible or not — and
+   must never displace an incumbent through the running-best fold. *)
+let test_compare_entries_nan_ranks_last () =
   let config =
     Bo.Config.make
       [ ("max_depth", Bo.Param.Int_value 5); ("min_samples_leaf", Bo.Param.Int_value 2) ]
   in
-  let real = Evaluator.evaluate (Rng.create 8) platform spec Model_spec.Tree config in
-  let nan_artifact = { real with Evaluator.objective = Float.nan } in
+  let history = Bo.History.create () in
+  Bo.History.add history ~config ~objective:0.8 ~feasible:true ();
+  Bo.History.add history ~config ~objective:Float.nan ~feasible:true ();
+  let real, nan_entry =
+    match Bo.History.entries history with
+    | [ real; nan_entry ] -> (real, nan_entry)
+    | _ -> Alcotest.fail "history lost an entry"
+  in
   Alcotest.(check bool) "real beats NaN" true
-    (Evaluator.compare_artifacts real nan_artifact < 0);
+    (Bo.History.compare_entries real nan_entry < 0);
   Alcotest.(check bool) "NaN loses to real" true
-    (Evaluator.compare_artifacts nan_artifact real > 0);
+    (Bo.History.compare_entries nan_entry real > 0);
   Alcotest.(check int) "NaN ties itself" 0
-    (Evaluator.compare_artifacts nan_artifact nan_artifact);
-  (* The fold the parallel search uses for its running best. *)
-  (match Evaluator.better_artifact (Some real) nan_artifact with
+    (Bo.History.compare_entries nan_entry nan_entry);
+  (* The fold every winner is picked with. *)
+  (match Bo.History.best_entry history with
   | Some kept ->
       Alcotest.(check bool) "incumbent survives NaN challenger" true
-        (Int64.bits_of_float kept.Evaluator.objective
-        = Int64.bits_of_float real.Evaluator.objective)
+        (Int64.bits_of_float kept.Bo.History.objective
+        = Int64.bits_of_float real.Bo.History.objective)
   | None -> Alcotest.fail "fold dropped the incumbent");
-  (match Evaluator.better_artifact (Some nan_artifact) real with
+  let nan_first = Bo.History.create () in
+  Bo.History.add nan_first ~config ~objective:Float.nan ~feasible:true ();
+  Bo.History.add nan_first ~config ~objective:0.8 ~feasible:true ();
+  match Bo.History.best_entry nan_first with
   | Some kept ->
       Alcotest.(check bool) "real displaces NaN incumbent" true
-        (not (Float.is_nan kept.Evaluator.objective))
-  | None -> Alcotest.fail "fold dropped both")
+        (not (Float.is_nan kept.Bo.History.objective))
+  | None -> Alcotest.fail "fold dropped both"
 
 let test_report_rendering () =
   let r =
@@ -456,6 +463,13 @@ let history_digest history =
            (Bo.Config.to_string e.Bo.History.config)
            e.Bo.History.objective e.Bo.History.feasible e.Bo.History.pruned)
   |> String.concat "\n" |> Digest.string |> Digest.to_hex
+
+let distinct_configs history =
+  List.length
+    (List.sort_uniq compare
+       (List.map
+          (fun (e : Bo.History.entry) -> Bo.Config.to_string e.Bo.History.config)
+          (Bo.History.entries history)))
 
 let pinned_search ~name ~algorithm ~data ~n_init ~budget platform =
   let spec =
@@ -516,34 +530,94 @@ let test_golden_dnn_search () =
 let test_exhausted_tree_search () =
   let spec, options, platform = tree_search ~n_init:75 ~budget:300 in
   let history = (Compiler.search_model ~options platform spec).Compiler.history in
-  let distinct =
-    List.sort_uniq compare
-      (List.map
-         (fun (e : Bo.History.entry) -> Bo.Config.to_string e.Bo.History.config)
-         (Bo.History.entries history))
-  in
   Alcotest.(check int) "budget spent" 300 (Bo.History.length history);
-  Alcotest.(check int) "space exhausted" 144 (List.length distinct);
+  Alcotest.(check int) "space exhausted" 144 (distinct_configs history);
   Alcotest.(check string) "history digest" "e37f9bdcd0ee6d241fd5e1a4de15caf2"
     (history_digest history)
 
+(* Repeats the exhausted pin above does not reach. With batches of three,
+   the exhausted space's proposals repeat each other inside one batch. With
+   the learned pre-filter on a six-table Tofino, where some trees no longer
+   fit, configurations the filter skipped are proposed again and judged
+   again. Both digests and the filter's counters were recorded with a
+   driver that trained every proposal, repeats included. *)
+let test_exhausted_tree_search_batch3 () =
+  let spec, options, platform = tree_search ~n_init:75 ~budget:300 in
+  let options =
+    {
+      options with
+      Compiler.bo_settings =
+        { options.Compiler.bo_settings with Bo.Optimizer.batch_size = 3 };
+    }
+  in
+  Evaluator.Timing.reset ();
+  let history = (Compiler.search_model ~options platform spec).Compiler.history in
+  let entries = Array.of_list (Bo.History.entries history) in
+  let same_batch_repeats = ref 0 in
+  Array.iteri
+    (fun i (e : Bo.History.entry) ->
+      for j = i - (i mod 3) to i - 1 do
+        if Bo.Config.equal entries.(j).Bo.History.config e.Bo.History.config
+        then incr same_batch_repeats
+      done)
+    entries;
+  Alcotest.(check bool) "same-batch repeats" true (!same_batch_repeats > 0);
+  Alcotest.(check int) "one evaluation per distinct configuration"
+    (distinct_configs history)
+    (Evaluator.Timing.snapshot ()).Evaluator.Timing.evaluations;
+  Alcotest.(check string) "history digest" "61ed1c9094565cd184b7e3965e7fd159"
+    (history_digest history)
+
+let test_exhausted_tree_search_cost_model () =
+  let spec, options, _ = tree_search ~n_init:75 ~budget:300 in
+  let options =
+    { options with Compiler.cost_model = Some Bo.Cost_model.default_settings }
+  in
+  let r =
+    Compiler.search_model ~options
+      (Platform.with_tables (Platform.tofino ()) 6)
+      spec
+  in
+  let predicted = ref [] and repeats_of_predicted = ref 0 in
+  List.iter
+    (fun (e : Bo.History.entry) ->
+      if List.exists (Bo.Config.equal e.Bo.History.config) !predicted then
+        incr repeats_of_predicted;
+      if Bo.Cost_model.is_predicted e.Bo.History.metadata then
+        predicted := e.Bo.History.config :: !predicted)
+    (Bo.History.entries r.Compiler.history);
+  Alcotest.(check bool) "predicted entries proposed again" true
+    (!repeats_of_predicted > 0);
+  Alcotest.(check string) "filter counters"
+    "281 observations, 300 consults, 19 skipped, 24 boundary fallbacks, 107 \
+     winner-guarded, 68 refits"
+    (Bo.Cost_model.stats_summary (Option.get r.Compiler.cost_stats));
+  Alcotest.(check string) "history digest" "bc2478fb65c466ef15faa3ba3780fe74"
+    (history_digest r.Compiler.history)
+
 (* One winner path: a plain search keeps the artifact of its best history
-   entry as batches are committed, so the evaluator runs exactly once per
-   history entry — the winner is never trained again. Replaying the
-   search's own journal through a supervisor evaluates nothing, so there
-   the winner is rebuilt from its config, and must come back the same. *)
+   entry as batches are committed, and trains each distinct configuration
+   once — a repeat commits the earlier evaluation, and the winner is never
+   trained again. Replaying the search's own journal through a supervisor
+   evaluates nothing but visits every history entry, so there the winner
+   is rebuilt from its config, and must come back the same. *)
 module Journal = Homunculus_resilience.Journal
 module Supervisor = Homunculus_resilience.Supervisor
 
 let check_golden_winner (spec, options, platform) =
   Evaluator.Timing.reset ();
   let r = Compiler.search_model ~options platform spec in
-  let evaluated =
+  let entries =
     List.fold_left
       (fun acc (_, h) -> acc + Bo.History.length h)
       0 r.Compiler.histories
   in
-  Alcotest.(check int) "one evaluation per history entry" evaluated
+  let distinct =
+    List.fold_left
+      (fun acc (_, h) -> acc + distinct_configs h)
+      0 r.Compiler.histories
+  in
+  Alcotest.(check int) "one evaluation per distinct configuration" distinct
     (Evaluator.Timing.snapshot ()).Evaluator.Timing.evaluations;
   let path = Filename.temp_file "golden-journal" ".jsonl" in
   let journal = Journal.open_ path in
@@ -577,7 +651,7 @@ let check_golden_winner (spec, options, platform) =
       platform spec
   in
   Sys.remove path;
-  Alcotest.(check int) "every candidate replayed" evaluated
+  Alcotest.(check int) "every candidate replayed" entries
     (Supervisor.replayed_count supervisor);
   let a = r.Compiler.artifact and b = replayed.Compiler.artifact in
   Alcotest.(check string) "same winner config"
@@ -589,6 +663,97 @@ let check_golden_winner (spec, options, platform) =
 
 let test_golden_tree_winner () = check_golden_winner (golden_tree ())
 let test_golden_dnn_winner () = check_golden_winner (golden_dnn ())
+
+(* Repeats inside one batch of configurations not evaluated yet: three
+   cluster counts fill a warm-up batch of six, so the batch proposes some
+   of them twice. *)
+let same_batch_search () =
+  let options =
+    {
+      tiny_options with
+      Compiler.bo_settings =
+        {
+          tiny_options.Compiler.bo_settings with
+          Bo.Optimizer.n_init = 6;
+          n_iter = 1;
+          batch_size = 6;
+        };
+      emit_code = false;
+    }
+  in
+  (cluster_spec (), options, Platform.with_tables (Platform.tofino ()) 3)
+
+(* Only the first copy trains, and the history is the one a supervised
+   search, which trains every copy, records. *)
+let test_same_batch_repeats_trained_once () =
+  let spec, options, platform = same_batch_search () in
+  Evaluator.Timing.reset ();
+  let r = Compiler.search_model ~options platform spec in
+  let distinct = distinct_configs r.Compiler.history in
+  Alcotest.(check bool) "the warm-up batch repeats itself" true (distinct < 6);
+  Alcotest.(check int) "one evaluation per distinct configuration" distinct
+    (Evaluator.Timing.snapshot ()).Evaluator.Timing.evaluations;
+  let supervised =
+    Compiler.search_model
+      ~options:{ options with Compiler.supervisor = Some (Supervisor.create ()) }
+      platform spec
+  in
+  Alcotest.(check string) "history of the search that trains every copy"
+    (history_digest supervised.Compiler.history)
+    (history_digest r.Compiler.history)
+
+(* A fleet skips repeats too, but never reuses a failure: a worker's
+   failure-tagged result says nothing of the configuration, so the next
+   copy — in the same batch or a later one — is dispatched again. Proposal
+   0 fails here; every other proposal is dispatched exactly when no earlier
+   entry holds an exact evaluation of its configuration. *)
+let test_dispatch_skips_exact_repeats () =
+  let spec, options, platform = same_batch_search () in
+  let dispatched = ref [] in
+  let dispatch ~scope batch =
+    Array.map
+      (fun (index, config) ->
+        dispatched := index :: !dispatched;
+        if index = 0 then
+          {
+            Bo.Optimizer.objective = 0.;
+            feasible = false;
+            pruned = false;
+            metadata = [ (Supervisor.failure_key, 1.) ];
+          }
+        else
+          Compiler.worker_eval ~options ~platform ~specs:[ spec ] ~scope ~index
+            ~config)
+      batch
+  in
+  let r =
+    Compiler.search_model
+      ~options:{ options with Compiler.dispatch = Some dispatch }
+      platform spec
+  in
+  let entries = Bo.History.entries r.Compiler.history in
+  let expected, _ =
+    List.fold_left
+      (fun (dispatched, exact) (e : Bo.History.entry) ->
+        let config = e.Bo.History.config in
+        ( (if List.exists (Bo.Config.equal config) exact then dispatched
+           else (e.Bo.History.iteration - 1) :: dispatched),
+          if List.mem_assoc Supervisor.failure_key e.Bo.History.metadata then
+            exact
+          else config :: exact ))
+      ([], []) entries
+  in
+  let first = (List.hd entries).Bo.History.config in
+  Alcotest.(check bool) "proposal 0 was proposed again" true
+    (List.exists
+       (fun (e : Bo.History.entry) ->
+         e.Bo.History.iteration > 1 && Bo.Config.equal e.Bo.History.config first)
+       entries);
+  Alcotest.(check (list int)) "dispatched proposals" (List.rev expected)
+    (List.sort compare !dispatched)
+
+let test_exhausted_tree_winner () =
+  check_golden_winner (tree_search ~n_init:75 ~budget:300)
 
 let suite =
   [
@@ -617,8 +782,8 @@ let suite =
     Alcotest.test_case "generate no fusion" `Quick test_generate_without_fusion_keeps_two;
     Alcotest.test_case "emit code dispatch" `Quick test_emit_code_dispatch;
     Alcotest.test_case "tradeoff pareto front" `Quick test_search_tradeoff_front;
-    Alcotest.test_case "compare_artifacts NaN ranks last" `Quick
-      test_compare_artifacts_nan_ranks_last;
+    Alcotest.test_case "compare_entries NaN ranks last" `Quick
+      test_compare_entries_nan_ranks_last;
     Alcotest.test_case "evaluator deterministic" `Quick
       test_evaluator_deterministic_per_config;
     Alcotest.test_case "report rendering" `Quick test_report_rendering;
@@ -630,4 +795,14 @@ let suite =
       test_golden_tree_winner;
     Alcotest.test_case "golden dnn winner not retrained" `Quick
       test_golden_dnn_winner;
+    Alcotest.test_case "exhausted tree search, batches of 3" `Quick
+      test_exhausted_tree_search_batch3;
+    Alcotest.test_case "exhausted tree search, cost model" `Quick
+      test_exhausted_tree_search_cost_model;
+    Alcotest.test_case "exhausted tree winner not retrained" `Quick
+      test_exhausted_tree_winner;
+    Alcotest.test_case "same-batch repeats trained once" `Quick
+      test_same_batch_repeats_trained_once;
+    Alcotest.test_case "dispatch skips exact repeats" `Quick
+      test_dispatch_skips_exact_repeats;
   ]
